@@ -136,7 +136,7 @@ enum class AdmitPolicy : std::uint8_t {
 };
 
 /// Block-granular KV eviction mode of the serving-policy layer
-/// (scenario/serving.hpp + scenario/kv_pager.hpp). kNone keeps a preempted
+/// (scenario/serving.hpp + scenario/kv_block_pool.hpp). kNone keeps a preempted
 /// request's KV fully resident (PR 4 semantics: preemption relieves
 /// cache/compute contention but never budget pressure). kColdBlocks swaps
 /// the preempted request's cold KV blocks out to a modeled DRAM/host tier,

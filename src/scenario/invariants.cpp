@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
-#include "scenario/kv_pager.hpp"
 
 namespace llamcat::scenario {
 
@@ -22,51 +22,37 @@ std::string fmt_event(const char* event, std::size_t i) {
 }  // namespace
 
 ServingAuditor::ServingAuditor(std::uint64_t budget_bytes,
-                               std::vector<std::uint64_t> peak_bytes,
-                               std::uint64_t block_bytes)
+                               std::uint64_t block_bytes, bool paged,
+                               std::vector<KvBlockPool::RequestLayout> layouts)
     : budget_(budget_bytes),
       block_bytes_(block_bytes),
-      peak_(std::move(peak_bytes)),
-      pinned_(peak_.size(), 0),
-      swapped_(peak_.size(), 0),
-      admitted_(peak_.size(), false),
-      finished_(peak_.size(), false) {}
-
-ServingAuditor::ServingAuditor(std::uint64_t budget_bytes,
-                               std::vector<std::uint64_t> peak_bytes,
-                               SharedLayout layout)
-    : ServingAuditor(budget_bytes, std::move(peak_bytes),
-                     layout.block_bytes) {
-  if (layout.block_bytes == 0 || layout.groups.size() != peak_.size() ||
-      layout.prefix_bytes.size() != peak_.size()) {
-    throw std::invalid_argument(
-        "ServingAuditor: shared layout needs a positive block size and one "
-        "group/prefix entry per request");
+      paged_(paged),
+      layouts_(std::move(layouts)),
+      admitted_(layouts_.size(), false),
+      finished_(layouts_.size(), false),
+      released_(layouts_.size(), false),
+      private_swapped_blk_(layouts_.size(), 0) {
+  if (block_bytes_ == 0) {
+    throw std::invalid_argument("ServingAuditor: block size must be positive");
   }
-  shared_ = true;
-  paged_ = layout.paged;
-  groups_ = std::move(layout.groups);
-  prefix_ = std::move(layout.prefix_bytes);
-  released_.assign(peak_.size(), false);
-  private_swapped_blk_.assign(peak_.size(), 0);
 }
 
 std::uint64_t ServingAuditor::shared_blocks(std::size_t i) const {
-  if (groups_[i] == kNoPrefixGroup) return 0;
-  return prefix_[i] / block_bytes_;
+  if (layouts_[i].prefix_group == kNoPrefixGroup) return 0;
+  return layouts_[i].prefix_bytes / block_bytes_;
 }
 
 std::uint64_t ServingAuditor::private_whole_blocks(std::size_t i) const {
-  return peak_[i] / block_bytes_ - shared_blocks(i);
+  return layouts_[i].footprint_bytes / block_bytes_ - shared_blocks(i);
 }
 
 std::uint64_t ServingAuditor::private_bytes(std::size_t i) const {
-  return peak_[i] - shared_blocks(i) * block_bytes_;
+  return layouts_[i].footprint_bytes - shared_blocks(i) * block_bytes_;
 }
 
 std::uint64_t ServingAuditor::shadow_key(std::size_t i,
                                          std::uint64_t block) const {
-  return (static_cast<std::uint64_t>(groups_[i]) << 32) | block;
+  return (static_cast<std::uint64_t>(layouts_[i].prefix_group) << 32) | block;
 }
 
 void ServingAuditor::check_clock(const char* event, std::size_t i, Cycle now) {
@@ -86,7 +72,7 @@ void ServingAuditor::check_resident(const char* event, std::size_t i,
     throw InvariantViolation(
         fmt_event(event, i) + ": engine resident-bytes ledger (" +
         std::to_string(engine_resident) + ") diverged from the audited sum " +
-        "of per-request pins (" + std::to_string(resident_) + ")");
+        "of unique charged blocks (" + std::to_string(resident_) + ")");
   }
   if (budget_ != 0 && resident_ > budget_) {
     throw InvariantViolation(fmt_event(event, i) + ": resident bytes " +
@@ -104,31 +90,24 @@ void ServingAuditor::on_admit(std::size_t i, Cycle now,
                              "must report on_resume)");
   }
   admitted_[i] = true;
-  if (shared_) {
-    // Replay the block-level admission: every unique block charges once.
-    // The expected charge comes from the shadow map alone, so an engine /
-    // pool disagreement about what was already resident surfaces as a
-    // ledger divergence on this exact event.
-    std::uint64_t charge = private_bytes(i);
-    for (std::uint64_t b = 0; b < shared_blocks(i); ++b) {
-      auto [it, inserted] = blocks_.try_emplace(shadow_key(i, b));
-      ShadowBlock& e = it->second;
-      if (inserted) {
-        charge += block_bytes_;
-      } else if (!e.resident) {
-        e.resident = true;  // host-tier reuse: refetched and re-charged
-        charge += block_bytes_;
-      }
-      ++e.pins;
-      ++e.holders;
+  // Replay the block-level admission: every unique block charges once. The
+  // expected charge comes from the shadow map alone, so an engine / pool
+  // disagreement about what was already resident surfaces as a ledger
+  // divergence on this exact event.
+  std::uint64_t charge = private_bytes(i);
+  for (std::uint64_t b = 0; b < shared_blocks(i); ++b) {
+    auto [it, inserted] = blocks_.try_emplace(shadow_key(i, b));
+    ShadowBlock& e = it->second;
+    if (inserted) {
+      charge += block_bytes_;
+    } else if (!e.resident) {
+      e.resident = true;  // host-tier reuse: refetched and re-charged
+      charge += block_bytes_;
     }
-    pinned_[i] = charge;
-    resident_ += charge;
-    check_resident("admit", i, engine_resident);
-    return;
+    ++e.pins;
+    ++e.holders;
   }
-  pinned_[i] = peak_[i];
-  resident_ += peak_[i];
+  resident_ += charge;
   check_resident("admit", i, engine_resident);
 }
 
@@ -140,51 +119,31 @@ void ServingAuditor::on_resume(std::size_t i, std::uint64_t refetched_bytes,
                              ": only a previously admitted, unfinished "
                              "request can resume");
   }
-  if (shared_) {
-    // Expected refetch = the request's private host-tier blocks plus its
-    // shared blocks nobody re-pinned since the eviction (a peer's admission
-    // may have brought some back - those re-pin for free).
-    std::uint64_t expect = 0;
-    if (paged_ && released_[i]) {
-      expect = private_swapped_blk_[i] * block_bytes_;
-      private_swapped_blk_[i] = 0;
-      for (std::uint64_t b = 0; b < shared_blocks(i); ++b) {
-        ShadowBlock& e = blocks_.at(shadow_key(i, b));
-        if (!e.resident) {
-          e.resident = true;
-          expect += block_bytes_;
-        }
-        ++e.pins;
+  // Expected refetch = the request's private host-tier blocks plus its
+  // shared blocks nobody re-pinned since the eviction (a peer's admission
+  // may have brought some back - those re-pin for free).
+  std::uint64_t expect = 0;
+  if (released_[i]) {
+    expect = private_swapped_blk_[i] * block_bytes_;
+    private_swapped_blk_[i] = 0;
+    for (std::uint64_t b = 0; b < shared_blocks(i); ++b) {
+      ShadowBlock& e = blocks_.at(shadow_key(i, b));
+      if (!e.resident) {
+        e.resident = true;
+        expect += block_bytes_;
       }
-      released_[i] = false;
+      ++e.pins;
     }
-    if (refetched_bytes != expect) {
-      throw InvariantViolation(
-          fmt_event("resume", i) + ": refetched " +
-          std::to_string(refetched_bytes) + " bytes but the shadow block " +
-          "map expected " + std::to_string(expect) +
-          " (private host blocks + shared blocks no peer re-pinned)");
-    }
-    resident_ += expect;
-    check_resident("resume", i, engine_resident);
-    return;
+    released_[i] = false;
   }
-  if (refetched_bytes != swapped_[i]) {
+  if (refetched_bytes != expect) {
     throw InvariantViolation(
         fmt_event("resume", i) + ": refetched " +
-        std::to_string(refetched_bytes) + " bytes but " +
-        std::to_string(swapped_[i]) +
-        " were swapped out - a resume must restore the full swapped set");
+        std::to_string(refetched_bytes) + " bytes but the shadow block " +
+        "map expected " + std::to_string(expect) +
+        " (private host blocks + shared blocks no peer re-pinned)");
   }
-  pinned_[i] += refetched_bytes;
-  swapped_[i] = 0;
-  resident_ += refetched_bytes;
-  if (pinned_[i] != peak_[i]) {
-    throw InvariantViolation(
-        fmt_event("resume", i) + ": pinned bytes " +
-        std::to_string(pinned_[i]) + " != peak footprint " +
-        std::to_string(peak_[i]) + " after the refetch re-pin");
-  }
+  resident_ += expect;
   check_resident("resume", i, engine_resident);
 }
 
@@ -196,74 +155,43 @@ void ServingAuditor::on_evict(std::size_t i, std::uint64_t freed_bytes,
                              ": only a running (admitted, unfinished) "
                              "request can be preempted");
   }
-  if (shared_) {
-    if (released_[i]) {
-      throw InvariantViolation(fmt_event("evict", i) +
-                               ": request was already evicted and has not "
-                               "resumed");
-    }
-    std::uint64_t expect = 0;
-    if (paged_) {
-      // Replay the ref-counted release: a shared block only moves to the
-      // host tier when its *last* pinner leaves; a block another admitted
-      // request still pins stays resident and frees nothing.
-      for (std::uint64_t b = 0; b < shared_blocks(i); ++b) {
-        ShadowBlock& e = blocks_.at(shadow_key(i, b));
-        if (e.pins == 0 || !e.resident) {
-          throw InvariantViolation(
-              fmt_event("evict", i) + ": shadow block " + std::to_string(b) +
-              " has corrupt refcounts (an active request must pin a "
-              "resident block)");
-        }
-        --e.pins;
-        if (e.pins == 0) {
-          e.resident = false;
-          expect += block_bytes_;
-        }
-      }
-      expect += private_whole_blocks(i) * block_bytes_;
-      private_swapped_blk_[i] = private_whole_blocks(i);
-      released_[i] = true;
-    }
-    // !paged_: resident preemption - pins survive, nothing frees.
-    if (freed_bytes != expect) {
-      throw InvariantViolation(
-          fmt_event("evict", i) + ": freed " + std::to_string(freed_bytes) +
-          " bytes but the shadow block map expected " +
-          std::to_string(expect) +
-          " (private whole blocks + shared blocks whose last pinner left)");
-    }
-    resident_ -= expect;
-    check_resident("evict", i, engine_resident);
-    return;
-  }
-  if (freed_bytes > pinned_[i]) {
-    throw InvariantViolation(fmt_event("evict", i) + ": freed " +
-                             std::to_string(freed_bytes) +
-                             " bytes but only " + std::to_string(pinned_[i]) +
-                             " were pinned");
-  }
-  if (freed_bytes != 0 && block_bytes_ == 0) {
+  if (released_[i]) {
     throw InvariantViolation(fmt_event("evict", i) +
-                             ": swap in a non-paged run");
+                             ": request was already evicted and has not "
+                             "resumed");
   }
-  if (block_bytes_ != 0 && freed_bytes % block_bytes_ != 0) {
+  std::uint64_t expect = 0;
+  if (paged_) {
+    // Replay the ref-counted release: a shared block only moves to the host
+    // tier when its *last* pinner leaves; a block another admitted request
+    // still pins stays resident and frees nothing. Every private whole
+    // block moves; a partial tail block never does.
+    for (std::uint64_t b = 0; b < shared_blocks(i); ++b) {
+      ShadowBlock& e = blocks_.at(shadow_key(i, b));
+      if (e.pins == 0 || !e.resident) {
+        throw InvariantViolation(
+            fmt_event("evict", i) + ": shadow block " + std::to_string(b) +
+            " has corrupt refcounts (an active request must pin a "
+            "resident block)");
+      }
+      --e.pins;
+      if (e.pins == 0) {
+        e.resident = false;
+        expect += block_bytes_;
+      }
+    }
+    expect += private_whole_blocks(i) * block_bytes_;
+    private_swapped_blk_[i] = private_whole_blocks(i);
+    released_[i] = true;
+  }
+  // !paged_: resident preemption - pins survive, nothing frees.
+  if (freed_bytes != expect) {
     throw InvariantViolation(
         fmt_event("evict", i) + ": freed " + std::to_string(freed_bytes) +
-        " bytes is not a multiple of the " + std::to_string(block_bytes_) +
-        "-byte block (a partial tail block can never move)");
+        " bytes but the shadow block map expected " + std::to_string(expect) +
+        " (private whole blocks + shared blocks whose last pinner left)");
   }
-  pinned_[i] -= freed_bytes;
-  swapped_[i] += freed_bytes;
-  resident_ -= freed_bytes;
-  // Conservation: resident + swapped always reconstructs the peak.
-  if (pinned_[i] + swapped_[i] != peak_[i]) {
-    throw InvariantViolation(fmt_event("evict", i) + ": pinned (" +
-                             std::to_string(pinned_[i]) + ") + swapped (" +
-                             std::to_string(swapped_[i]) +
-                             ") no longer equals the peak footprint (" +
-                             std::to_string(peak_[i]) + ")");
-  }
+  resident_ -= expect;
   check_resident("evict", i, engine_resident);
 }
 
@@ -274,59 +202,39 @@ void ServingAuditor::on_finish(std::size_t i, Cycle now,
     throw InvariantViolation(fmt_event("finish", i) +
                              ": request finished twice or without admission");
   }
-  if (shared_) {
-    if (released_[i]) {
-      throw InvariantViolation(fmt_event("finish", i) +
-                               ": request finished while evicted - it must "
-                               "resume (and refetch) before finishing");
-    }
-    // Drop the holder refs: a shared block frees only when its *last*
-    // holder finishes. pins <= holders always, and an unreleased finisher
-    // still pins, so a block reaching holders == 0 is resident by
-    // construction - its bytes leave the ledger here.
-    std::uint64_t freed = private_bytes(i);
-    for (std::uint64_t b = 0; b < shared_blocks(i); ++b) {
-      auto it = blocks_.find(shadow_key(i, b));
-      if (it == blocks_.end() || it->second.pins == 0 ||
-          it->second.holders == 0 || !it->second.resident) {
-        throw InvariantViolation(
-            fmt_event("finish", i) + ": shadow block " + std::to_string(b) +
-            " has corrupt refcounts (a finishing request must pin a "
-            "resident block)");
-      }
-      --it->second.pins;
-      --it->second.holders;
-      if (it->second.holders == 0) {
-        blocks_.erase(it);
-        freed += block_bytes_;
-      }
-    }
-    finished_[i] = true;
-    pinned_[i] = 0;
-    resident_ -= freed;
-    check_resident("finish", i, engine_resident);
-    return;
+  if (released_[i]) {
+    throw InvariantViolation(fmt_event("finish", i) +
+                             ": request finished while evicted - it must "
+                             "resume (and refetch) before finishing");
   }
-  if (swapped_[i] != 0) {
-    throw InvariantViolation(
-        fmt_event("finish", i) + ": " + std::to_string(swapped_[i]) +
-        " bytes still swapped out at finish - the final resume must have "
-        "refetched everything, so a finish can never race a swap");
-  }
-  if (pinned_[i] != peak_[i]) {
-    throw InvariantViolation(fmt_event("finish", i) + ": pinned bytes " +
-                             std::to_string(pinned_[i]) +
-                             " != peak footprint " + std::to_string(peak_[i]) +
-                             " at finish");
+  // Drop the holder refs: a shared block frees only when its *last* holder
+  // finishes. pins <= holders always, and an unreleased finisher still
+  // pins, so a block reaching holders == 0 is resident by construction -
+  // its bytes leave the ledger here.
+  std::uint64_t freed = private_bytes(i);
+  for (std::uint64_t b = 0; b < shared_blocks(i); ++b) {
+    auto it = blocks_.find(shadow_key(i, b));
+    if (it == blocks_.end() || it->second.pins == 0 ||
+        it->second.holders == 0 || !it->second.resident) {
+      throw InvariantViolation(
+          fmt_event("finish", i) + ": shadow block " + std::to_string(b) +
+          " has corrupt refcounts (a finishing request must pin a "
+          "resident block)");
+    }
+    --it->second.pins;
+    --it->second.holders;
+    if (it->second.holders == 0) {
+      blocks_.erase(it);
+      freed += block_bytes_;
+    }
   }
   finished_[i] = true;
-  pinned_[i] = 0;
-  resident_ -= peak_[i];
+  resident_ -= freed;
   check_resident("finish", i, engine_resident);
 }
 
 void ServingAuditor::on_pass_end() const {
-  for (std::size_t i = 0; i < peak_.size(); ++i) {
+  for (std::size_t i = 0; i < layouts_.size(); ++i) {
     if (!finished_[i]) {
       throw InvariantViolation("pass ended with request " + std::to_string(i) +
                                " unfinished (dropped request)");
@@ -336,7 +244,7 @@ void ServingAuditor::on_pass_end() const {
     throw InvariantViolation("pass ended with " + std::to_string(resident_) +
                              " resident bytes still pinned");
   }
-  if (shared_ && !blocks_.empty()) {
+  if (!blocks_.empty()) {
     throw InvariantViolation(
         "pass ended with " + std::to_string(blocks_.size()) +
         " shared blocks still alive - every refcount must drain to zero");
@@ -524,28 +432,28 @@ AuditReport audit_batch(const RequestBatch& batch,
     sum_refetch_bytes += r.refetch_bytes;
     sum_refetch_cycles += r.refetch_cycles;
     if (serving.paged()) {
-      KvPagerConfig pager_cfg;
-      pager_cfg.block_bytes = share_block;
-      pager_cfg.refetch_cost = serving.refetch_cost;
+      KvBlockPoolConfig pool_cfg;
+      pool_cfg.block_bytes = share_block;
+      pool_cfg.refetch_cost = serving.refetch_cost;
       if (serving.kv_share && any_group) {
         // A peer's admission can refetch a shared host block, so per-request
         // closure does not hold under sharing - only block granularity does
         // (the batch-level closure is checked after the loop).
-        check(r.refetch_bytes % pager_cfg.block_bytes == 0, "request ", r.id,
+        check(r.refetch_bytes % pool_cfg.block_bytes == 0, "request ", r.id,
               ": refetch bytes (", r.refetch_bytes,
-              ") are not a multiple of the ", pager_cfg.block_bytes,
+              ") are not a multiple of the ", pool_cfg.block_bytes,
               "-byte block");
       } else {
-        check(r.refetch_bytes == r.swapped_blocks * pager_cfg.block_bytes,
+        check(r.refetch_bytes == r.swapped_blocks * pool_cfg.block_bytes,
               "request ", r.id, ": cumulative refetch bytes (",
               r.refetch_bytes, ") do not close the swap ledger (",
-              r.swapped_blocks, " blocks x ", pager_cfg.block_bytes,
+              r.swapped_blocks, " blocks x ", pool_cfg.block_bytes,
               " B) - a request must end fully resident");
         check(r.refetch_cycles ==
-                  r.swapped_blocks * pager_cfg.cycles_per_block(),
+                  r.swapped_blocks * pool_cfg.cycles_per_block(),
               "request ", r.id, ": refetch cycles (", r.refetch_cycles,
               ") != swapped blocks (", r.swapped_blocks, ") x link price (",
-              pager_cfg.cycles_per_block(), ")");
+              pool_cfg.cycles_per_block(), ")");
       }
     } else {
       check(r.swapped_blocks == 0 && r.refetch_bytes == 0 &&
@@ -560,9 +468,9 @@ AuditReport audit_batch(const RequestBatch& batch,
 
   // -- shared-KV accounting (batch-level) -----------------------------------
   if (serving.paged() && serving.kv_share && any_group) {
-    KvPagerConfig pager_cfg;
-    pager_cfg.block_bytes = share_block;
-    pager_cfg.refetch_cost = serving.refetch_cost;
+    KvBlockPoolConfig pool_cfg;
+    pool_cfg.block_bytes = share_block;
+    pool_cfg.refetch_cost = serving.refetch_cost;
     // Every host-tier block is eventually refetched exactly once (a finish
     // requires full residency and no request is dropped), so the swap
     // ledger closes at batch scope even though peers refetch for each other.
@@ -571,10 +479,10 @@ AuditReport audit_batch(const RequestBatch& batch,
           ") do not close the batch swap ledger (",
           stats.total_swapped_blocks(), " blocks x ", share_block, " B)");
     check(sum_refetch_cycles ==
-              stats.total_swapped_blocks() * pager_cfg.cycles_per_block(),
+              stats.total_swapped_blocks() * pool_cfg.cycles_per_block(),
           "batch refetch cycles (", sum_refetch_cycles,
           ") != swapped blocks (", stats.total_swapped_blocks(),
-          ") x link price (", pager_cfg.cycles_per_block(), ")");
+          ") x link price (", pool_cfg.cycles_per_block(), ")");
   }
   if (!stats.shared) {
     check(stats.kv_block_lookups == 0 && stats.kv_block_hits == 0 &&

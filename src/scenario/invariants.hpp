@@ -15,12 +15,13 @@
 //  1. No request is ever dropped: every request finishes, and every landmark
 //     chain is monotone - arrival <= admit <= first_dispatch <=
 //     last_complete <= finish <= makespan.
-//  2. KV byte conservation: a request's pinned + swapped bytes always equal
-//     its peak footprint (or zero before first admission); eviction frees
-//     exactly what the swap moved out, resume re-pins exactly what it
-//     refetches, and a request never finishes with bytes still swapped out.
-//     The engine's resident-bytes ledger matches the auditor's shadow ledger
-//     after every event, never exceeds the budget, and drains to zero.
+//  2. KV byte conservation, replayed block by block: every KV block is
+//     resident and charged, on the host tier, or free; eviction frees
+//     exactly the whole blocks whose last pinner left, resume re-pins
+//     exactly the host-tier blocks no peer brought back, and a request
+//     never finishes with blocks still swapped out. The engine's
+//     resident-bytes ledger matches the auditor's shadow ledger after every
+//     event, never exceeds the budget, and drains to zero.
 //  3. Attribution conservation: per-request slices of thread blocks,
 //     instructions and DRAM traffic sum to the batch totals, and each
 //     slice's LLC hit/miss split adds up.
@@ -41,6 +42,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "scenario/kv_block_pool.hpp"
 #include "scenario/scenario.hpp"
 
 namespace llamcat::scenario {
@@ -56,54 +58,39 @@ class InvariantViolation : public std::runtime_error {
 
 /// In-engine KV byte-ledger auditor. run_continuous reports every serving
 /// event (first admission, resume, eviction, finish) together with its own
-/// resident-bytes ledger; the auditor keeps an independent shadow ledger
-/// and throws InvariantViolation on the first divergence, over-budget pin,
-/// non-block-granular swap, or finish with bytes still swapped out.
+/// resident-bytes ledger. The auditor replays the block-level lifecycle
+/// (pin/unref/swap/free per (group, block) key) through its own shadow map
+/// - independent of KvBlockPool's implementation; a private request simply
+/// shares no blocks - and throws InvariantViolation on the first event
+/// where the engine's ledger diverges from the sum of unique charged
+/// blocks, a pin exceeds the budget, an eviction frees anything but the
+/// blocks whose last pinner left, a resume refetches anything but the
+/// blocks no peer re-pinned, a request finishes while evicted, or (at pass
+/// end) a refcount fails to drain.
 class ServingAuditor {
  public:
-  /// `peak_bytes[i]` is request i's peak KV footprint (what a first
-  /// admission pins). `budget_bytes` 0 = unlimited. `block_bytes` is the
-  /// pager's block size, 0 when the run is not paged (swaps then must
-  /// never happen).
-  ServingAuditor(std::uint64_t budget_bytes,
-                 std::vector<std::uint64_t> peak_bytes,
-                 std::uint64_t block_bytes);
+  /// `layouts[i]` is request i's KV geometry: its peak footprint (what the
+  /// budget pins) and prefix identity. `block_bytes` is the block size
+  /// (must be positive), `budget_bytes` 0 = unlimited. `paged` says whether
+  /// preemption swaps blocks to the host tier (kv_evict = cold-blocks);
+  /// off, evictions must free 0 bytes and pins survive preemption.
+  ServingAuditor(std::uint64_t budget_bytes, std::uint64_t block_bytes,
+                 bool paged, std::vector<KvBlockPool::RequestLayout> layouts);
 
-  /// Prefix-sharing layout for the shared-byte conservation mode: when any
-  /// request shares a prefix, the auditor replays the block-level lifecycle
-  /// (pin/unref/swap/free per (group, block) key) through its own shadow
-  /// map - independent of KvBlockPool's implementation - and checks after
-  /// every event that the engine's ledger equals the sum of unique charged
-  /// blocks, that eviction freed exactly the blocks whose last pinner left,
-  /// and at pass end that every refcount drained to zero.
-  struct SharedLayout {
-    std::uint64_t block_bytes = kLineBytes;
-    /// Whether preemption swaps blocks to the host tier (kv_evict =
-    /// cold-blocks). Off: evictions must free 0 bytes and pins survive
-    /// preemption, exactly like the legacy resident-preemption contract.
-    bool paged = false;
-    /// Per-request prefix group (kNoPrefixGroup = fully private KV).
-    std::vector<std::uint32_t> groups;
-    /// Per-request prefix bytes (<= the request's peak footprint).
-    std::vector<std::uint64_t> prefix_bytes;
-  };
-
-  /// Shared-byte conservation mode (see SharedLayout).
-  ServingAuditor(std::uint64_t budget_bytes,
-                 std::vector<std::uint64_t> peak_bytes, SharedLayout layout);
-
-  /// First admission of request i: pins its full peak footprint.
+  /// First admission of request i: pins its private region and its shared
+  /// blocks (charging only the ones no peer holds resident).
   void on_admit(std::size_t i, Cycle now, std::uint64_t engine_resident);
   /// Re-admission of a preempted request: re-pins `refetched_bytes` (the
-  /// swapped-out share; 0 for a resident, non-evicted resume).
+  /// host-tier share; 0 for a resident, non-evicted resume).
   void on_resume(std::size_t i, std::uint64_t refetched_bytes, Cycle now,
                  std::uint64_t engine_resident);
   /// Preemption of running request i: `freed_bytes` left the resident
   /// ledger for the host tier (0 under kv_evict=none).
   void on_evict(std::size_t i, std::uint64_t freed_bytes, Cycle now,
                 std::uint64_t engine_resident);
-  /// Request i finished: its full peak unpins. Fails if any of its bytes
-  /// are still swapped out (a finish can never race an outstanding swap).
+  /// Request i finished: its private region and every shared block whose
+  /// last holder it was unpin. Fails if it is still evicted (a finish can
+  /// never race an outstanding swap).
   void on_finish(std::size_t i, Cycle now, std::uint64_t engine_resident);
   /// End of pass: every request finished, both ledgers drained to zero.
   void on_pass_end() const;
@@ -131,22 +118,15 @@ class ServingAuditor {
 
   std::uint64_t budget_;
   std::uint64_t block_bytes_;
-  std::vector<std::uint64_t> peak_;
-  std::vector<std::uint64_t> pinned_;   // resident bytes per request
-  std::vector<std::uint64_t> swapped_;  // host-tier bytes per request
+  bool paged_;
+  std::vector<KvBlockPool::RequestLayout> layouts_;
   std::vector<bool> admitted_;
   std::vector<bool> finished_;
-  std::uint64_t resident_ = 0;  // shadow of the engine's ledger
-  Cycle last_event_ = 0;        // serving events never move backwards
-
-  // -- shared-byte conservation mode (SharedLayout ctor) --------------------
-  bool shared_ = false;
-  bool paged_ = false;
-  std::vector<std::uint32_t> groups_;
-  std::vector<std::uint64_t> prefix_;
   std::vector<bool> released_;  // evicted, not yet resumed (paged only)
   std::vector<std::uint64_t> private_swapped_blk_;
   std::map<std::uint64_t, ShadowBlock> blocks_;  // (group, index) -> state
+  std::uint64_t resident_ = 0;  // shadow of the engine's ledger
+  Cycle last_event_ = 0;        // serving events never move backwards
 };
 
 /// Result of the post-run contract check: empty = clean. Each violation is

@@ -6,19 +6,6 @@
 
 namespace llamcat::scenario {
 
-namespace {
-
-/// splitmix64 finalizer: the shard selector needs well-mixed high bits even
-/// though (group, index) keys are tiny sequential integers.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 void KvBlockPoolConfig::validate() const {
   if (block_bytes == 0 || block_bytes % kLineBytes != 0) {
     throw std::invalid_argument(
@@ -28,11 +15,6 @@ void KvBlockPoolConfig::validate() const {
         "simulator); got " +
         std::to_string(block_bytes));
   }
-  if (shard_bits > 16) {
-    throw std::invalid_argument(
-        "KvBlockPoolConfig: shard_bits must be <= 16 (2^" +
-        std::to_string(shard_bits) + " shards is past any useful fan-out)");
-  }
 }
 
 KvBlockPool::KvBlockPool(const KvBlockPoolConfig& cfg,
@@ -40,8 +22,7 @@ KvBlockPool::KvBlockPool(const KvBlockPoolConfig& cfg,
     : cfg_(cfg),
       layouts_(std::move(layouts)),
       state_(layouts_.size(), ReqState::kNew),
-      private_swapped_(layouts_.size(), 0),
-      shards_(std::size_t{1} << cfg.shard_bits) {
+      private_swapped_(layouts_.size(), 0) {
   cfg_.validate();
   for (std::size_t i = 0; i < layouts_.size(); ++i) {
     const RequestLayout& l = layouts_[i];
@@ -78,14 +59,10 @@ std::uint64_t KvBlockPool::block_key(std::uint32_t group,
   return (static_cast<std::uint64_t>(group) << 32) | index;
 }
 
-KvBlockPool::Shard& KvBlockPool::shard_of(std::uint64_t key) {
-  if (cfg_.shard_bits == 0) return shards_[0];
-  return shards_[mix64(key) >> (64 - cfg_.shard_bits)];
-}
-
-const KvBlockPool::Shard& KvBlockPool::shard_of(std::uint64_t key) const {
-  if (cfg_.shard_bits == 0) return shards_[0];
-  return shards_[mix64(key) >> (64 - cfg_.shard_bits)];
+const KvBlockPool::Entry* KvBlockPool::find(std::uint32_t group,
+                                            std::uint64_t index) const {
+  const auto it = table_.find(block_key(group, index));
+  return it == table_.end() ? nullptr : &it->second;
 }
 
 void KvBlockPool::require_state(std::size_t i, ReqState expect,
@@ -105,17 +82,14 @@ KvBlockPool::Admission KvBlockPool::admit(std::size_t i) {
   const std::uint32_t group = layouts_[i].prefix_group;
   const std::uint64_t nshared = shared_blocks(i);
   for (std::uint64_t b = 0; b < nshared; ++b) {
-    Shard& shard = shard_of(block_key(group, b));
-    MutexLock lock(shard.mu);
-    ++shard.lookups;
+    ++lookups_;
     ++a.lookup_blocks;
-    auto [it, inserted] = shard.table.try_emplace(block_key(group, b));
+    auto [it, inserted] = table_.try_emplace(block_key(group, b));
     Entry& e = it->second;
     if (inserted) {
-      ++shard.inserts;
       a.charged_bytes += cfg_.block_bytes;
     } else if (e.resident) {
-      ++shard.hits;
+      ++hits_;
       ++a.hit_blocks;
       a.hit_bytes += cfg_.block_bytes;
     } else {
@@ -146,9 +120,7 @@ KvBlockPool::Admission KvBlockPool::resume(std::size_t i) {
   const std::uint32_t group = layouts_[i].prefix_group;
   const std::uint64_t nshared = shared_blocks(i);
   for (std::uint64_t b = 0; b < nshared; ++b) {
-    Shard& shard = shard_of(block_key(group, b));
-    MutexLock lock(shard.mu);
-    Entry& e = shard.table.at(block_key(group, b));
+    Entry& e = table_.at(block_key(group, b));
     if (!e.resident) {
       e.resident = true;
       ++a.refetch_blocks;
@@ -171,9 +143,7 @@ std::uint64_t KvBlockPool::release(std::size_t i) {
   const std::uint32_t group = layouts_[i].prefix_group;
   const std::uint64_t nshared = shared_blocks(i);
   for (std::uint64_t b = 0; b < nshared; ++b) {
-    Shard& shard = shard_of(block_key(group, b));
-    MutexLock lock(shard.mu);
-    Entry& e = shard.table.at(block_key(group, b));
+    Entry& e = table_.at(block_key(group, b));
     // Active implies every owned block is pinned, and a pinned block is
     // resident (a refetch precedes every re-pin).
     if (e.pins == 0 || !e.resident) {
@@ -193,7 +163,7 @@ std::uint64_t KvBlockPool::release(std::size_t i) {
   const std::uint64_t priv = private_whole_blocks(i) - private_swapped_[i];
   private_swapped_[i] += priv;
   freed += priv * cfg_.block_bytes;
-  // The partial tail (if any) stays resident and charged, as in KvPager.
+  // The partial tail (if any) stays resident and charged.
   state_[i] = ReqState::kReleased;
   return freed;
 }
@@ -210,9 +180,7 @@ std::uint64_t KvBlockPool::finish(std::size_t i) {
   const std::uint32_t group = layouts_[i].prefix_group;
   const std::uint64_t nshared = shared_blocks(i);
   for (std::uint64_t b = 0; b < nshared; ++b) {
-    Shard& shard = shard_of(block_key(group, b));
-    MutexLock lock(shard.mu);
-    auto it = shard.table.find(block_key(group, b));
+    auto it = table_.find(block_key(group, b));
     Entry& e = it->second;
     if (e.pins == 0 || !e.resident) {
       throw std::logic_error(
@@ -223,7 +191,7 @@ std::uint64_t KvBlockPool::finish(std::size_t i) {
     --e.holders;
     if (e.holders == 0) {
       // Last holder gone: the block leaves the pool and its charge drops.
-      shard.table.erase(it);
+      table_.erase(it);
       freed += cfg_.block_bytes;
     }
     // holders > 0: a peer (running or preempted) still owns the block, so
@@ -240,12 +208,10 @@ std::uint64_t KvBlockPool::admit_cost(std::size_t i) const {
   const std::uint32_t group = layouts_[i].prefix_group;
   const std::uint64_t nshared = shared_blocks(i);
   for (std::uint64_t b = 0; b < nshared; ++b) {
-    const Shard& shard = shard_of(block_key(group, b));
-    MutexLock lock(shard.mu);
-    const auto it = shard.table.find(block_key(group, b));
+    const Entry* e = find(group, b);
     // Absent (allocate) and host-tier (refetch) blocks charge; resident
     // ones are free hits.
-    if (it == shard.table.end() || !it->second.resident) {
+    if (e == nullptr || !e->resident) {
       cost += cfg_.block_bytes;
     }
   }
@@ -257,10 +223,8 @@ std::uint64_t KvBlockPool::resume_cost(std::size_t i) const {
   const std::uint32_t group = layouts_[i].prefix_group;
   const std::uint64_t nshared = shared_blocks(i);
   for (std::uint64_t b = 0; b < nshared; ++b) {
-    const Shard& shard = shard_of(block_key(group, b));
-    MutexLock lock(shard.mu);
-    const auto it = shard.table.find(block_key(group, b));
-    if (it != shard.table.end() && !it->second.resident) {
+    const Entry* e = find(group, b);
+    if (e != nullptr && !e->resident) {
       cost += cfg_.block_bytes;
     }
   }
@@ -273,32 +237,11 @@ std::uint64_t KvBlockPool::releasable_blocks(std::size_t i) const {
   const std::uint32_t group = layouts_[i].prefix_group;
   const std::uint64_t nshared = shared_blocks(i);
   for (std::uint64_t b = 0; b < nshared; ++b) {
-    const Shard& shard = shard_of(block_key(group, b));
-    MutexLock lock(shard.mu);
-    const auto it = shard.table.find(block_key(group, b));
+    const Entry* e = find(group, b);
     // Sole pinner: releasing would swap the block. A peer's pin refuses it.
-    if (it != shard.table.end() && it->second.resident &&
-        it->second.pins == 1) {
+    if (e != nullptr && e->resident && e->pins == 1) {
       ++n;
     }
-  }
-  return n;
-}
-
-std::uint64_t KvBlockPool::total_lookups() const {
-  std::uint64_t n = 0;
-  for (const Shard& s : shards_) {
-    MutexLock lock(s.mu);
-    n += s.lookups;
-  }
-  return n;
-}
-
-std::uint64_t KvBlockPool::total_hits() const {
-  std::uint64_t n = 0;
-  for (const Shard& s : shards_) {
-    MutexLock lock(s.mu);
-    n += s.hits;
   }
   return n;
 }

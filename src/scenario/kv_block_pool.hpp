@@ -1,25 +1,23 @@
-// Shared KV block pool for the serving layer: cross-request prefix reuse
-// with ref-counted, hash-addressed blocks.
+// KV block pool for the serving layer: every request's KV footprint is split
+// into fixed-size blocks that are charged against `--kv-budget`, swapped to
+// a modeled host tier at preemption (LMCache-style offload) and refetched at
+// resume, with cross-request prefix reuse through ref-counted,
+// hash-addressed shared blocks.
 //
-// The paged KV model (kv_pager.hpp) treats every request's KV footprint as
-// private, so two requests decoding from the same system prompt each pin a
-// full copy of the prefix KV against `--kv-budget`. Real traffic has massive
-// prefix overlap (system prompts, few-shot templates, multi-turn chats - the
-// LMCache/Kcache regime), and the pool makes that overlap visible to every
-// policy knob: at a request's first admission its prefix is probed
-// block-by-block against a sharded hash table keyed (prefix group, block
+// Two requests decoding from the same system prompt would each pin a full
+// copy of the prefix KV if every footprint were private. Real traffic has
+// massive prefix overlap (system prompts, few-shot templates, multi-turn
+// chats - the LMCache/Kcache regime), and the pool makes that overlap
+// visible to every policy knob: at a request's first admission its prefix
+// is probed block-by-block against a hash table keyed (prefix group, block
 // index); hits pin the existing block (refcount++) and charge the budget
 // ZERO new bytes, misses allocate and charge once, and from then on the
 // block is shared - eviction respects refcounts (only a block whose last
 // pinner released it can swap to the host tier), and finish/preempt unref
 // instead of free.
 //
-// Structure follows RocksDB's sharded_cache/clock_cache split: a power-of-two
-// shard array, the hash's high bits select the shard, and each shard owns an
-// independent table plus its own lookup/hit/insert counters behind a
-// shard-local annotated Mutex (common/sync.hpp). The serving engine is
-// single-threaded today, so the locks are uncontended; they exist so clang
-// -Wthread-safety machine-checks the shard contract from day one.
+// The pool is pure bookkeeping: it owns no simulated memory and injects no
+// traffic itself. A pool belongs to one single-threaded serving run.
 //
 // Block-level state machine. Every tracked unit is in exactly one state:
 //
@@ -36,28 +34,25 @@
 // pins == 0), `holders` counts admitted-unfinished associated requests
 // (finish decrements it; the block is freed only at holders == 0). A
 // request's non-prefix region stays private and moves as one compact run -
-// whole blocks swap like the legacy pager's, and a partial tail block stays
-// resident and charged for the request's whole life (blocks are the transfer
-// granule; a fraction of one cannot move). Sharing itself is whole-block
-// granular: a prefix of P bytes shares floor(P / block_bytes) blocks and its
-// remainder is private per request.
+// at a stage-boundary preemption every whole block is cold, and a partial
+// tail block stays resident and charged for the request's whole life
+// (blocks are the transfer granule; a fraction of one cannot move).
+// Sharing itself is whole-block granular: a prefix of P bytes shares
+// floor(P / block_bytes) blocks and its remainder is private per request.
 //
-// With no request in a prefix group (or `--kv-share=off`, when the engine
-// does not instantiate the pool at all) every region is private and the
-// pool's admission charges, eviction frees and refetch prices are
-// byte-identical to KvPager's - the legacy golden rows pin this.
+// With no request in a prefix group (or `--kv-share=off`) every region is
+// private: admission charges the whole footprint, eviction frees its whole
+// blocks, resume refetches exactly those, and finish frees the footprint.
 //
-// See docs/architecture.md ("Prefix-sharing KV block pool") for how the pool
-// slots into the admission/preemption state machine and docs/metrics.md for
-// the hit/shared-byte counters it feeds.
+// See docs/architecture.md ("KV block pool") for how the pool slots into
+// the admission/preemption state machine and docs/metrics.md for the
+// swap/refetch and hit/shared-byte counters it feeds.
 #pragma once
 
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 
-#include "common/sync.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/types.hpp"
 
 namespace llamcat::scenario {
@@ -65,26 +60,26 @@ namespace llamcat::scenario {
 /// Sentinel: the request belongs to no prefix group (fully private KV).
 inline constexpr std::uint32_t kNoPrefixGroup = 0xFFFFFFFFu;
 
-/// Knobs of the shared block pool. Block geometry and refetch pricing match
-/// KvPagerConfig so a share-off pool reproduces the pager byte for byte.
+/// Knobs of the block pool. Defaults follow the line-granule KV rounding:
+/// one block = one 64-byte cache line, priced at the modeled host link.
 struct KvBlockPoolConfig {
   /// Fixed KV block size in bytes: the sharing, swap and accounting granule.
-  /// Must be a positive multiple of kLineBytes.
+  /// Must be a positive multiple of kLineBytes (KV is line-granular
+  /// everywhere else in the simulator).
   std::uint64_t block_bytes = kLineBytes;
-  /// Core cycles charged per refetched block (0 = derive block_bytes / 8,
-  /// the ~8 B/cycle modeled host link of KvPagerConfig).
+  /// Core cycles charged per refetched block. 0 derives block_bytes / 8 (an
+  /// ~8 B/cycle host link: 16 GB/s at the 1.96 GHz Table 5 core clock -
+  /// PCIe-gen4-x16-ish, the LMCache regime).
   Cycle refetch_cost = 0;
-  /// log2 of the shard count (RocksDB sharded_cache idiom: the hash's high
-  /// bits select the shard).
-  std::uint32_t shard_bits = 4;
 
+  /// The effective per-block refetch price after the 0-default resolves.
   [[nodiscard]] Cycle cycles_per_block() const {
     if (refetch_cost != 0) return refetch_cost;
     const Cycle derived = block_bytes / 8;
     return derived == 0 ? 1 : derived;
   }
 
-  /// Throws std::invalid_argument on a bad block size or shard count.
+  /// Throws std::invalid_argument on a bad block size.
   void validate() const;
 };
 
@@ -161,8 +156,8 @@ class KvBlockPool {
   [[nodiscard]] std::uint64_t releasable_blocks(std::size_t i) const;
 
   // -- cumulative pool stats (bench/report rows; see docs/metrics.md) -------
-  [[nodiscard]] std::uint64_t total_lookups() const;
-  [[nodiscard]] std::uint64_t total_hits() const;
+  [[nodiscard]] std::uint64_t total_lookups() const { return lookups_; }
+  [[nodiscard]] std::uint64_t total_hits() const { return hits_; }
   /// Bytes first admissions did NOT charge thanks to resident shared blocks.
   [[nodiscard]] std::uint64_t total_shared_bytes() const { return shared_bytes_; }
   /// Bytes first admissions actually charged.
@@ -178,26 +173,14 @@ class KvBlockPool {
     std::uint32_t holders = 0;
     bool resident = true;
   };
-  /// One hash shard (sharded_cache idiom): its slice of the table plus its
-  /// own counters, behind a shard-local lock. The serving engine is
-  /// single-threaded today, so the lock is uncontended - it completes the
-  /// sharded_cache structure and puts the shard's state under the
-  /// clang -Wthread-safety contract, so a future concurrent admission
-  /// sweep cannot touch a table without holding its shard's mutex.
-  struct Shard {
-    mutable Mutex mu;
-    std::unordered_map<std::uint64_t, Entry> table GUARDED_BY(mu);
-    std::uint64_t lookups GUARDED_BY(mu) = 0;
-    std::uint64_t hits GUARDED_BY(mu) = 0;
-    std::uint64_t inserts GUARDED_BY(mu) = 0;
-  };
   enum class ReqState : std::uint8_t { kNew, kActive, kReleased, kFinished };
 
   [[nodiscard]] std::uint64_t shared_blocks(std::size_t i) const;
   [[nodiscard]] std::uint64_t private_whole_blocks(std::size_t i) const;
   [[nodiscard]] std::uint64_t private_bytes(std::size_t i) const;
-  [[nodiscard]] Shard& shard_of(std::uint64_t key);
-  [[nodiscard]] const Shard& shard_of(std::uint64_t key) const;
+  /// The shared block's entry, or nullptr when it is not in the pool.
+  [[nodiscard]] const Entry* find(std::uint32_t group,
+                                  std::uint64_t index) const;
   [[nodiscard]] static std::uint64_t block_key(std::uint32_t group,
                                                std::uint64_t index);
   void require_state(std::size_t i, ReqState expect, const char* call) const;
@@ -207,7 +190,10 @@ class KvBlockPool {
   std::vector<ReqState> state_;
   /// Private whole blocks of request i currently on the host tier.
   std::vector<std::uint64_t> private_swapped_;
-  std::vector<Shard> shards_;
+  /// (group, index) -> shared block.
+  std::unordered_map<std::uint64_t, Entry> table_;
+  std::uint64_t lookups_ = 0;
+  std::uint64_t hits_ = 0;
   std::uint64_t shared_bytes_ = 0;
   std::uint64_t charged_bytes_ = 0;
   std::uint64_t logical_bytes_ = 0;

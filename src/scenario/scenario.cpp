@@ -1,17 +1,18 @@
 #include "scenario/scenario.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
-
-#include <optional>
 
 #include "scenario/invariants.hpp"
 #include "scenario/kv_block_pool.hpp"
@@ -569,11 +570,418 @@ BatchStats DecodePass::run_coscheduled(bool verbose) const {
   return out;
 }
 
+namespace {
+
+/// Serving state of one request in the continuous engine. Every request is
+/// in exactly one state; the transitions are the edges of the diagram in
+/// docs/architecture.md ("Request serving states"), one ServingEngine
+/// member function each.
+enum class ReqState : std::uint8_t {
+  kPending,     // not yet arrived
+  kWaiting,     // arrived, in the serving queue, never admitted
+  kRefetching,  // admitted (budget pinned), next operator held back until
+                // the host-tier refetch lands at `refetch_ready`
+  kRunning,     // its operator chain advances in the live machine
+  kPreempted,   // back in the serving queue with its KV admitted
+  kFinished,
+};
+constexpr std::size_t kNumReqStates =
+    static_cast<std::size_t>(ReqState::kFinished) + 1;
+
+const char* to_string(ReqState s) {
+  switch (s) {
+    case ReqState::kPending: return "pending";
+    case ReqState::kWaiting: return "waiting";
+    case ReqState::kRefetching: return "refetching";
+    case ReqState::kRunning: return "running";
+    case ReqState::kPreempted: return "preempted";
+    case ReqState::kFinished: return "finished";
+  }
+  return "?";
+}
+
+/// Serving state machine and KV ledger of one continuous pass. It owns each
+/// request's state, operator cursor and queue clock, the KV block pool and
+/// the optional ledger auditor; the segment driver in run_continuous owns
+/// the machine (System + DynamicTbSource) and asks the engine who moves.
+/// Every transition checks its source state and throws std::logic_error
+/// naming the edge when called from the wrong one.
+class ServingEngine {
+ public:
+  static constexpr std::size_t kNobody = static_cast<std::size_t>(-1);
+
+  ServingEngine(const RequestBatch& batch, const DecodePassConfig& pass_cfg,
+                const std::vector<ScheduledOp>& schedule,
+                std::vector<std::vector<std::size_t>> chains, BatchStats& out)
+      : reqs_(batch.requests()),
+        batch_(batch),
+        schedule_(schedule),
+        chains_(std::move(chains)),
+        out_(out),
+        policy_(pass_cfg.serving),
+        paged_(pass_cfg.serving.paged()),
+        req_(reqs_.size()),
+        pool_(pool_config(pass_cfg.serving), layouts(batch, pass_cfg)) {
+    count_[static_cast<std::size_t>(ReqState::kPending)] = reqs_.size();
+    out_.paged = paged_;
+    out_.shared = pass_cfg.serving.kv_share;
+    // In-engine ledger auditor (invariants.hpp): every serving event below
+    // reports itself so a KV-conservation break throws on the cycle it
+    // happens. Off by default - it adds no stats and changes no behavior.
+    const char* audit_env = std::getenv("LLAMCAT_AUDIT");
+    if (pass_cfg.audit || (audit_env != nullptr && *audit_env != '\0' &&
+                           *audit_env != '0')) {
+      auditor_.emplace(pass_cfg.serving.kv_budget_bytes,
+                       pool_.config().block_bytes, paged_,
+                       layouts(batch, pass_cfg));
+    }
+  }
+
+  [[nodiscard]] const AdmissionPolicy& policy() const { return policy_; }
+  [[nodiscard]] bool paged() const { return paged_; }
+  [[nodiscard]] ReqState state(std::size_t i) const { return req_[i].state; }
+  [[nodiscard]] std::size_t count(ReqState s) const {
+    return count_[static_cast<std::size_t>(s)];
+  }
+  /// Holds its budget share in the machine: running or refetching.
+  [[nodiscard]] bool live(std::size_t i) const {
+    return state(i) == ReqState::kRunning ||
+           state(i) == ReqState::kRefetching;
+  }
+  [[nodiscard]] std::size_t num_live() const {
+    return count(ReqState::kRunning) + count(ReqState::kRefetching);
+  }
+  [[nodiscard]] bool all_finished() const {
+    return count(ReqState::kFinished) == reqs_.size();
+  }
+
+  // -- edges of the request state machine -----------------------------------
+
+  /// kPending -> kWaiting: the arrival clock struck; the request enters the
+  /// serving queue.
+  void arrive(std::size_t i, Cycle now) {
+    require(i, ReqState::kPending, "arrive");
+    set(i, ReqState::kWaiting);
+    req_[i].queue_enter = now;
+  }
+
+  /// kWaiting -> kRunning | kRefetching: first admission. Pins the request's
+  /// effective (dedup-aware) footprint against the budget and stamps the
+  /// admit landmark. A prefix peer may have released a shared block to the
+  /// host tier; reusing it pays the link transfer like any paged resume.
+  void admit(std::size_t i, Cycle now) {
+    require(i, ReqState::kWaiting, "admit");
+    RequestStats& rs = out_.per_request[i];
+    rs.queued_cycles += now - req_[i].queue_enter;
+    rs.admit_cycle = now;
+    const KvBlockPool::Admission a = pool_.admit(i);
+    resident_ += a.charged_bytes;
+    rs.prefix_hit_blocks += a.hit_blocks;
+    rs.prefix_hit_bytes += a.hit_bytes;
+    enter_machine(i, now, a);
+    if (auditor_) auditor_->on_admit(i, now, resident_);
+  }
+
+  /// kPreempted -> kRunning | kRefetching: re-admission. A resident
+  /// preemptee re-pins nothing; a paged one re-pins its swapped blocks and
+  /// waits out their refetch.
+  void resume(std::size_t i, Cycle now) {
+    require(i, ReqState::kPreempted, "resume");
+    out_.per_request[i].queued_cycles += now - req_[i].queue_enter;
+    KvBlockPool::Admission a;
+    if (paged_) {
+      a = pool_.resume(i);
+      resident_ += a.charged_bytes;
+    }
+    enter_machine(i, now, a);
+    if (auditor_) auditor_->on_resume(i, a.charged_bytes, now, resident_);
+  }
+
+  /// kRefetching -> kRunning once the transfer landed (`refetch_ready` <=
+  /// now). Returns false, changing nothing, while it is still in flight.
+  bool land_refetch(std::size_t i, Cycle now) {
+    require(i, ReqState::kRefetching, "land_refetch");
+    if (req_[i].refetch_ready > now) return false;
+    set(i, ReqState::kRunning);
+    return true;
+  }
+
+  /// kRunning -> kPreempted at a stage boundary: the request re-enters the
+  /// serving queue and - in paged mode - its cold blocks swap out, freeing
+  /// budget bytes. Refcounted eviction: only blocks whose last pinner this
+  /// was swap out, so `freed` can be less than the whole-block footprint.
+  void preempt(std::size_t i, Cycle now) {
+    require(i, ReqState::kRunning, "preempt");
+    set(i, ReqState::kPreempted);
+    req_[i].queue_enter = now;
+    RequestStats& rs = out_.per_request[i];
+    ++rs.preemptions;
+    std::uint64_t freed = 0;
+    if (paged_) {
+      freed = pool_.release(i);
+      unpin(i, freed, "preempt");
+      rs.swapped_blocks += freed / pool_.config().block_bytes;
+    }
+    if (auditor_) auditor_->on_evict(i, freed, now, resident_);
+  }
+
+  /// kRunning -> kFinished: the last operator completed. A finish unrefs
+  /// instead of freeing: shared blocks a peer still holds stay resident
+  /// and charged, so the freed bytes can be less than the footprint.
+  void finish(std::size_t i, Cycle now) {
+    require(i, ReqState::kRunning, "finish");
+    if (req_[i].cursor != chains_[i].size()) {
+      throw std::logic_error("ServingEngine::finish: request " +
+                             std::to_string(i) + " still has operators left");
+    }
+    set(i, ReqState::kFinished);
+    out_.per_request[i].finish_cycle = now;
+    unpin(i, pool_.finish(i), "finish");
+    if (auditor_) auditor_->on_finish(i, now, resident_);
+  }
+
+  /// Dispatches an admission-sweep pick to its edge.
+  void admit_queued(std::size_t i, Cycle now) {
+    if (state(i) == ReqState::kWaiting) {
+      admit(i, now);
+    } else {
+      resume(i, now);
+    }
+  }
+
+  /// Whether live request i's next operator may enter the machine at `now`
+  /// (a refetching request lands first if its transfer is done).
+  bool ready_to_enqueue(std::size_t i, Cycle now) {
+    return state(i) == ReqState::kRunning || land_refetch(i, now);
+  }
+
+  // -- operator chain -------------------------------------------------------
+
+  /// The running request's next operator; advances its cursor.
+  const ScheduledOp& take_next(std::size_t i) {
+    require(i, ReqState::kRunning, "take_next");
+    return schedule_[chains_[i][req_[i].cursor++]];
+  }
+  [[nodiscard]] bool chain_done(std::size_t i) const {
+    return req_[i].cursor == chains_[i].size();
+  }
+  /// Whether the operator just taken (at cursor-1) closes a decode step.
+  [[nodiscard]] bool closes_step(std::size_t i) const {
+    const std::size_t c = req_[i].cursor;
+    return c == chains_[i].size() ||
+           schedule_[chains_[i][c]].step != schedule_[chains_[i][c - 1]].step;
+  }
+
+  // -- policy inputs --------------------------------------------------------
+
+  /// Remaining service-demand estimate: remaining chain operators weighted
+  /// by the request's peak KV tokens (longer contexts, longer operators).
+  [[nodiscard]] std::uint64_t remaining_work(std::size_t i) const {
+    return (chains_[i].size() - req_[i].cursor) *
+           batch_.peak_kv_tokens(reqs_[i]);
+  }
+  /// A live request's demand adds one operator's worth for the one in
+  /// flight (the cursor already advanced past it): a request mid-way
+  /// through its last operator still holds the machine for that operator's
+  /// length, so yield checks must not read it as "zero remaining" and
+  /// preempt a genuinely shorter neighbor in its favor.
+  [[nodiscard]] std::vector<std::uint64_t> running_work(
+      std::size_t except = kNobody) const {
+    std::vector<std::uint64_t> w;
+    for (std::size_t j = 0; j < reqs_.size(); ++j) {
+      if (j != except && live(j)) {
+        w.push_back(remaining_work(j) + batch_.peak_kv_tokens(reqs_[j]));
+      }
+    }
+    return w;
+  }
+  /// Blocked candidates only pressure victim i when evicting it would
+  /// actually free bytes: with no releasable whole block (block size larger
+  /// than the footprint, or everything already out) the preemption would
+  /// be pure churn - the blocked candidate stays blocked and the victim
+  /// just lost its stage boundary.
+  [[nodiscard]] std::vector<std::uint64_t> eviction_pressure_on(
+      std::size_t i) const {
+    if (!paged_ || pool_.releasable_blocks(i) == 0) return {};
+    return blocked_work();
+  }
+  /// The admission sweep over the serving queue.
+  [[nodiscard]] std::vector<std::size_t> select() const {
+    std::vector<AdmissionPolicy::Candidate> q;
+    for (std::size_t i = 0; i < reqs_.size(); ++i) {
+      if (queued(i)) {
+        q.push_back({i, reqs_[i].arrival_cycle, remaining_work(i),
+                     admit_bytes(i)});
+      }
+    }
+    if (q.empty()) return {};
+    return policy_.select(std::move(q), running_work(), resident_);
+  }
+
+  /// Earliest landmark after `after` the engine can act on by itself: an
+  /// unarrived request's arrival or a refetch completion. kNeverCycle when
+  /// there is none.
+  [[nodiscard]] Cycle next_landmark(Cycle after) const {
+    Cycle next = kNeverCycle;
+    for (std::size_t i = 0; i < reqs_.size(); ++i) {
+      if (state(i) == ReqState::kPending && reqs_[i].arrival_cycle > after) {
+        next = std::min(next, reqs_[i].arrival_cycle);
+      }
+      if (state(i) == ReqState::kRefetching &&
+          req_[i].refetch_ready > after) {
+        next = std::min(next, req_[i].refetch_ready);
+      }
+    }
+    return next;
+  }
+  /// next_landmark for a stream-clock hop over an idle machine, which
+  /// needs one to exist: a stalled stream must not jump to kNeverCycle.
+  [[nodiscard]] Cycle hop_target(Cycle after, const char* where) const {
+    const Cycle next = next_landmark(after);
+    if (next == kNeverCycle) {
+      throw std::logic_error(std::string("run_continuous: ") + where +
+                             " at stream cycle " + std::to_string(after) +
+                             " with no pending arrival or refetch (" +
+                             std::to_string(count(ReqState::kFinished)) +
+                             " of " + std::to_string(reqs_.size()) +
+                             " requests finished)");
+    }
+    return next;
+  }
+
+  /// End of pass: closes the auditor and folds the pool's counters.
+  void end_pass() {
+    if (auditor_) auditor_->on_pass_end();
+    if (out_.shared) {
+      out_.kv_block_lookups = pool_.total_lookups();
+      out_.kv_block_hits = pool_.total_hits();
+      out_.kv_shared_bytes = pool_.total_shared_bytes();
+      out_.kv_charged_bytes = pool_.total_charged_bytes();
+      out_.kv_logical_bytes = pool_.total_logical_bytes();
+    }
+  }
+
+ private:
+  struct Req {
+    ReqState state = ReqState::kPending;
+    std::size_t cursor = 0;  // next chain op to enqueue
+    Cycle queue_enter = 0;   // stream cycle it last entered the queue
+    Cycle refetch_ready = 0;  // kRefetching: when its transfer lands
+  };
+
+  static KvBlockPoolConfig pool_config(const ServingConfig& serving) {
+    KvBlockPoolConfig c;
+    c.block_bytes =
+        serving.kv_block_bytes != 0 ? serving.kv_block_bytes : kLineBytes;
+    c.refetch_cost = serving.refetch_cost;
+    return c;
+  }
+  /// Every request's KV geometry. With sharing off (or no prefix group)
+  /// every layout is private and the pool charges and frees each whole
+  /// footprint; with sharing on, requests in a prefix group pin their
+  /// common leading blocks once.
+  static std::vector<KvBlockPool::RequestLayout> layouts(
+      const RequestBatch& batch, const DecodePassConfig& pass_cfg) {
+    std::vector<KvBlockPool::RequestLayout> l(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const RequestSpec& r = batch.requests()[i];
+      l[i].footprint_bytes = batch.peak_kv_bytes(r, pass_cfg.num_layers);
+      if (pass_cfg.serving.kv_share && r.prefix_group != kNoPrefixGroup) {
+        l[i].prefix_group = r.prefix_group;
+        l[i].prefix_bytes = batch.prefix_kv_bytes(r, pass_cfg.num_layers);
+      }
+    }
+    return l;
+  }
+
+  [[nodiscard]] bool queued(std::size_t i) const {
+    return state(i) == ReqState::kWaiting ||
+           state(i) == ReqState::kPreempted;
+  }
+  /// Bytes an admission of queued request i would newly pin: its effective
+  /// (dedup-aware) footprint on first admission, the swapped-out share on a
+  /// paged resume, 0 for a resident preemptee. Pool estimates are
+  /// conservative upper bounds: shared blocks can only get cheaper between
+  /// this estimate and the actual admission, so the gate never over-admits.
+  [[nodiscard]] std::uint64_t admit_bytes(std::size_t i) const {
+    if (state(i) == ReqState::kWaiting) return pool_.admit_cost(i);
+    return paged_ ? pool_.resume_cost(i) : 0;
+  }
+  /// Paged mode: remaining work of queued candidates the free budget cannot
+  /// hold. They exert preemption pressure (should_preempt's blocked_work) -
+  /// evicting a much-longer runner's cold blocks is what unblocks them.
+  [[nodiscard]] std::vector<std::uint64_t> blocked_work() const {
+    std::vector<std::uint64_t> w;
+    const std::uint64_t budget = policy_.config().kv_budget_bytes;
+    for (std::size_t i = 0; i < reqs_.size(); ++i) {
+      if (queued(i) && resident_ + admit_bytes(i) > budget) {
+        w.push_back(remaining_work(i));
+      }
+    }
+    return w;
+  }
+
+  void set(std::size_t i, ReqState s) {
+    --count_[static_cast<std::size_t>(req_[i].state)];
+    ++count_[static_cast<std::size_t>(s)];
+    req_[i].state = s;
+  }
+  void require(std::size_t i, ReqState expect, const char* edge) const {
+    if (state(i) == expect) return;
+    throw std::logic_error(std::string("ServingEngine::") + edge +
+                           ": request " + std::to_string(i) + " is " +
+                           to_string(state(i)) + ", not " + to_string(expect));
+  }
+  /// Moves into the machine after an admission: straight to kRunning, or to
+  /// kRefetching while the admission's host-tier blocks transfer back.
+  void enter_machine(std::size_t i, Cycle now,
+                     const KvBlockPool::Admission& a) {
+    if (a.refetch_blocks == 0) {
+      set(i, ReqState::kRunning);
+      return;
+    }
+    RequestStats& rs = out_.per_request[i];
+    rs.refetch_bytes += a.refetch_bytes;
+    rs.refetch_cycles += a.refetch_cycles;
+    req_[i].refetch_ready = now + a.refetch_cycles;
+    set(i, ReqState::kRefetching);
+  }
+  /// Drops `bytes` from the resident ledger; an underflow is a corrupt
+  /// ledger, never a value to wrap around.
+  void unpin(std::size_t i, std::uint64_t bytes, const char* edge) {
+    if (bytes > resident_) {
+      throw std::logic_error(std::string("ServingEngine::") + edge +
+                             ": request " + std::to_string(i) + " frees " +
+                             std::to_string(bytes) + " KV bytes but only " +
+                             std::to_string(resident_) + " are resident");
+    }
+    resident_ -= bytes;
+  }
+
+  const std::vector<RequestSpec>& reqs_;
+  const RequestBatch& batch_;
+  const std::vector<ScheduledOp>& schedule_;
+  const std::vector<std::vector<std::size_t>> chains_;
+  BatchStats& out_;
+  const AdmissionPolicy policy_;
+  const bool paged_;
+  std::vector<Req> req_;
+  std::array<std::size_t, kNumReqStates> count_{};
+  /// KV bytes pinned by admitted, unfinished requests. Under kv_evict=none
+  /// a preempted request keeps its whole charge pinned; under cold-blocks
+  /// eviction its swapped blocks leave this ledger until the resume
+  /// refetch re-pins them.
+  std::uint64_t resident_ = 0;
+  KvBlockPool pool_;
+  std::optional<ServingAuditor> auditor_;
+};
+
+}  // namespace
+
 BatchStats DecodePass::run_continuous(bool verbose) const {
   BatchStats out;
   out.mode = ExecutionMode::kContinuous;
   const std::vector<RequestSpec>& reqs = batch_.requests();
-  const AdmissionPolicy policy(pass_cfg_.serving);
   out.per_request.reserve(reqs.size());
   for (const RequestSpec& req : reqs) {
     RequestStats rs;
@@ -593,242 +1001,11 @@ BatchStats DecodePass::run_continuous(bool verbose) const {
   for (std::size_t i = 0; i < schedule_.size(); ++i) {
     chains[by_id.at(schedule_[i].request_id)].push_back(i);
   }
-
-  // Serving state machine. A request is pending (not yet arrived), queued
-  // (arrived, waiting in the serving queue - either for its first admission
-  // or re-queued after a preemption), running (operators in the live
-  // machine), or finished. Under AdmitPolicy::kNone every arrival moves
-  // queued -> running the same cycle it enters the queue, which reproduces
-  // the raw streaming engine byte for byte.
-  struct ReqState {
-    std::size_t cursor = 0;    // next chain op to enqueue
-    bool queued = false;       // in the serving queue
-    bool running = false;      // has work in the live machine
-    bool admitted_ever = false;  // first admission happened (KV resident)
-    bool finished = false;
-    Cycle queue_enter = 0;     // stream cycle it entered the queue
-    // Paged mode only: the request was re-admitted with swapped-out blocks
-    // and its next operator is held back until the refetch transfer
-    // completes at stream cycle `refetch_ready`.
-    bool awaiting_refetch = false;
-    Cycle refetch_ready = 0;
-  };
-  std::vector<ReqState> st(reqs.size());
-  // KV bytes pinned by resident requests (admitted, not yet finished).
-  // Under kv_evict=none a preempted request keeps its full peak pinned;
-  // under cold-blocks eviction its swapped blocks leave this ledger until
-  // the resume refetch re-pins them.
-  std::uint64_t resident_bytes = 0;
-  std::vector<std::uint64_t> peak_bytes(reqs.size());
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    peak_bytes[i] = batch_.peak_kv_bytes(reqs[i], pass_cfg_.num_layers);
-  }
-  // Shared KV block pool (kv_block_pool.hpp): instantiated whenever paged
-  // eviction or prefix sharing is on. With sharing off every layout is
-  // private and the pool's charges/frees/refetch prices reproduce the
-  // legacy per-request pager byte for byte; with sharing on, requests in a
-  // prefix group pin their common leading blocks once.
-  const bool share = pass_cfg_.serving.kv_share;
-  const bool paged = pass_cfg_.serving.paged();
-  std::optional<KvBlockPool> pool;
-  bool any_group = false;
-  if (share || paged) {
-    KvBlockPoolConfig pool_cfg;
-    pool_cfg.block_bytes = pass_cfg_.serving.kv_block_bytes != 0
-                               ? pass_cfg_.serving.kv_block_bytes
-                               : kLineBytes;
-    pool_cfg.refetch_cost = pass_cfg_.serving.refetch_cost;
-    std::vector<KvBlockPool::RequestLayout> layouts(reqs.size());
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      layouts[i].footprint_bytes = peak_bytes[i];
-      if (share && reqs[i].prefix_group != kNoPrefixGroup) {
-        layouts[i].prefix_group = reqs[i].prefix_group;
-        layouts[i].prefix_bytes =
-            batch_.prefix_kv_bytes(reqs[i], pass_cfg_.num_layers);
-        any_group = true;
-      }
-    }
-    pool.emplace(pool_cfg, std::move(layouts));
-  }
-  out.paged = paged;
-  out.shared = share;
-  // In-engine ledger auditor (invariants.hpp): every serving event below
-  // reports itself so a KV-conservation break throws on the cycle it
-  // happens. Off by default - it adds no stats and changes no behavior.
-  // When any request actually shares a prefix the auditor replays the
-  // block-level lifecycle through its own shadow map (shared-byte
-  // conservation); otherwise the legacy per-request shadow ledger applies.
-  std::optional<ServingAuditor> auditor;
-  const char* audit_env = std::getenv("LLAMCAT_AUDIT");
-  if (pass_cfg_.audit || (audit_env != nullptr && *audit_env != '\0' &&
-                          *audit_env != '0')) {
-    if (any_group) {
-      ServingAuditor::SharedLayout layout;
-      layout.block_bytes = pool->config().block_bytes;
-      layout.paged = paged;
-      layout.groups.resize(reqs.size(), kNoPrefixGroup);
-      layout.prefix_bytes.resize(reqs.size(), 0);
-      for (std::size_t i = 0; i < reqs.size(); ++i) {
-        if (reqs[i].prefix_group != kNoPrefixGroup) {
-          layout.groups[i] = reqs[i].prefix_group;
-          layout.prefix_bytes[i] =
-              batch_.prefix_kv_bytes(reqs[i], pass_cfg_.num_layers);
-        }
-      }
-      auditor.emplace(pass_cfg_.serving.kv_budget_bytes, peak_bytes,
-                      std::move(layout));
-    } else {
-      auditor.emplace(pass_cfg_.serving.kv_budget_bytes, peak_bytes,
-                      pool ? pool->config().block_bytes : 0);
-    }
-  }
-
-  // Remaining service-demand estimate: remaining chain operators weighted
-  // by the request's peak KV tokens (longer contexts mean longer operators).
-  const auto remaining_work = [&](std::size_t i) -> std::uint64_t {
-    return (chains[i].size() - st[i].cursor) * batch_.peak_kv_tokens(reqs[i]);
-  };
-  // Bytes an admission of request i would newly pin: its effective
-  // (dedup-aware) footprint on first admission - the full peak unless a
-  // prefix peer already charged shared blocks - the swapped-out share on a
-  // paged resume, 0 for a resident (non-evicted) preempted request. Pool
-  // estimates are conservative upper bounds: between this sweep's estimate
-  // and the actual admission, shared blocks can only get cheaper (a peer
-  // admitted first), so the budget gate never over-admits.
-  const auto admit_bytes = [&](std::size_t i) -> std::uint64_t {
-    if (!st[i].admitted_ever) {
-      return pool ? pool->admit_cost(i) : peak_bytes[i];
-    }
-    return (pool && paged) ? pool->resume_cost(i) : 0;
-  };
-  const auto queued_candidates = [&] {
-    std::vector<AdmissionPolicy::Candidate> q;
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      if (!st[i].queued) continue;
-      q.push_back({i, reqs[i].arrival_cycle, remaining_work(i),
-                   admit_bytes(i)});
-    }
-    return q;
-  };
-  // Paged mode: remaining work of queued candidates the free budget cannot
-  // hold. They exert preemption pressure (should_preempt's blocked_work) -
-  // evicting a much-longer runner's cold blocks is what unblocks them.
-  const auto blocked_work = [&]() -> std::vector<std::uint64_t> {
-    std::vector<std::uint64_t> w;
-    if (!paged) return w;
-    const std::uint64_t budget = pass_cfg_.serving.kv_budget_bytes;
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      if (st[i].queued && resident_bytes + admit_bytes(i) > budget) {
-        w.push_back(remaining_work(i));
-      }
-    }
-    return w;
-  };
-  // Blocked candidates only pressure victim i when evicting it would
-  // actually free bytes: with no evictable whole block (block size larger
-  // than the footprint, or everything already out) the preemption would be
-  // pure churn - the blocked candidate stays blocked and the victim just
-  // lost its stage boundary.
-  const auto eviction_pressure_on =
-      [&](std::size_t i) -> std::vector<std::uint64_t> {
-    if (!paged || pool->releasable_blocks(i) == 0) return {};
-    return blocked_work();
-  };
-  // A running request's demand adds one operator's worth for the one in
-  // flight (the cursor already advanced past it): a request mid-way through
-  // its last operator still holds the machine for that operator's length,
-  // so yield checks must not read it as "zero remaining" and preempt a
-  // genuinely shorter neighbor in its favor.
-  const auto running_work = [&](std::size_t except) {
-    std::vector<std::uint64_t> w;
-    for (std::size_t j = 0; j < reqs.size(); ++j) {
-      if (j != except && st[j].running) {
-        w.push_back(remaining_work(j) + batch_.peak_kv_tokens(reqs[j]));
-      }
-    }
-    return w;
-  };
-  const std::size_t kNobody = reqs.size();
-  const auto enter_queue = [&](std::size_t i, Cycle now) {
-    st[i].queued = true;
-    st[i].queue_enter = now;
-  };
-  // Bookkeeping of one admission (the caller enqueues the operator):
-  // first admissions pin the request's peak KV against the budget and stamp
-  // the admit landmark; every admission closes out a queue-wait interval.
-  // A paged resume re-pins its swapped blocks and is marked
-  // awaiting_refetch: it is running (it holds its budget share again) but
-  // its next operator stays out of the machine until `refetch_ready`.
-  const auto admit_mark = [&](std::size_t i, Cycle now) {
-    st[i].queued = false;
-    st[i].running = true;
-    out.per_request[i].queued_cycles += now - st[i].queue_enter;
-    // Charges and refetch prices route through the pool when it exists
-    // (refetches can now happen at FIRST admissions too: a prefix peer may
-    // have released a shared block to the host tier, and reusing it pays
-    // the link transfer like any paged resume).
-    if (!st[i].admitted_ever) {
-      st[i].admitted_ever = true;
-      out.per_request[i].admit_cycle = now;
-      if (pool) {
-        const KvBlockPool::Admission a = pool->admit(i);
-        resident_bytes += a.charged_bytes;
-        out.per_request[i].prefix_hit_blocks += a.hit_blocks;
-        out.per_request[i].prefix_hit_bytes += a.hit_bytes;
-        if (a.refetch_blocks != 0) {
-          out.per_request[i].refetch_bytes += a.refetch_bytes;
-          out.per_request[i].refetch_cycles += a.refetch_cycles;
-          st[i].awaiting_refetch = true;
-          st[i].refetch_ready = now + a.refetch_cycles;
-        }
-      } else {
-        resident_bytes += peak_bytes[i];
-      }
-      if (auditor) auditor->on_admit(i, now, resident_bytes);
-    } else {
-      std::uint64_t refetched = 0;
-      if (pool && paged) {
-        const KvBlockPool::Admission a = pool->resume(i);
-        refetched = a.charged_bytes;
-        resident_bytes += a.charged_bytes;
-        if (a.refetch_blocks != 0) {
-          out.per_request[i].refetch_bytes += a.refetch_bytes;
-          out.per_request[i].refetch_cycles += a.refetch_cycles;
-          st[i].awaiting_refetch = true;
-          st[i].refetch_ready = now + a.refetch_cycles;
-        }
-      }
-      if (auditor) auditor->on_resume(i, refetched, now, resident_bytes);
-    }
-  };
-  // Whether request i's next operator may enter the machine at `now`
-  // (clears the refetch hold the moment it expires). Trivially true
-  // outside paged mode.
-  const auto ready_to_enqueue = [&](std::size_t i, Cycle now) {
-    if (st[i].awaiting_refetch) {
-      if (st[i].refetch_ready > now) return false;
-      st[i].awaiting_refetch = false;
-    }
-    return true;
-  };
-  // Preemption bookkeeping shared by the drain-boundary and mid-flight
-  // paths: the request leaves the machine, re-enters the serving queue,
-  // and - in paged mode - its cold blocks swap out, freeing budget bytes.
-  const auto preempt_mark = [&](std::size_t i, Cycle now) {
-    st[i].running = false;
-    enter_queue(i, now);
-    ++out.per_request[i].preemptions;
-    std::uint64_t freed = 0;
-    if (pool && paged) {
-      // Refcounted eviction: only blocks whose last pinner this was swap
-      // out - a shared block a peer still runs against stays resident and
-      // charged, so `freed` can be less than the whole-block footprint.
-      freed = pool->release(i);
-      resident_bytes -= freed;
-      out.per_request[i].swapped_blocks += freed / pool->config().block_bytes;
-    }
-    if (auditor) auditor->on_evict(i, freed, now, resident_bytes);
-  };
+  // Under AdmitPolicy::kNone every arrival is admitted the same cycle it
+  // enters the queue, which reproduces the raw streaming engine byte for
+  // byte.
+  ServingEngine eng(batch_, pass_cfg_, schedule_, std::move(chains), out);
+  const AdmissionPolicy& policy = eng.policy();
 
   // The stream is simulated as a chain of System segments sharing one
   // timeline (`base` = stream cycle where the current segment starts).
@@ -843,39 +1020,26 @@ BatchStats DecodePass::run_continuous(bool verbose) const {
   Cycle base = 0;
   std::size_t seg_id = 0;
 
-  const auto unfinished = [&] {
-    for (const ReqState& s : st) {
-      if (!s.finished) return true;
+  // Requests whose arrival clock has struck by `now` enter the serving
+  // queue. Returns whether any did.
+  const auto notice_arrivals = [&](Cycle now) {
+    bool any = false;
+    if (eng.count(ReqState::kPending) == 0) return any;
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      if (eng.state(i) == ReqState::kPending &&
+          reqs[i].arrival_cycle <= now) {
+        eng.arrive(i, now);
+        any = true;
+      }
     }
-    return false;
+    return any;
   };
 
-  while (unfinished()) {
-    // Move arrivals whose clock has struck into the serving queue, then let
-    // the policy pick admissions. If nothing is running and nothing was
-    // admitted, the queue must be empty (the policy guarantees progress on
-    // an idle machine) - the machine idles until the next arrival, so skip
-    // the dead cycles but keep them on the stream clock.
-    const auto notice_arrivals = [&] {
-      for (std::size_t i = 0; i < reqs.size(); ++i) {
-        if (!st[i].queued && !st[i].running && !st[i].admitted_ever &&
-            !st[i].finished && reqs[i].arrival_cycle <= base) {
-          enter_queue(i, base);
-        }
-      }
-    };
-    const auto any_running = [&] {
-      for (const ReqState& s : st) {
-        if (s.running) return true;
-      }
-      return false;
-    };
-
+  while (!eng.all_finished()) {
     DynamicTbSource src;
     const auto enqueue_next = [&](std::size_t i) {
-      const ScheduledOp& op = schedule_[chains[i][st[i].cursor]];
+      const ScheduledOp& op = eng.take_next(i);
       src.add(op.request_id, op.workload.op, op.workload.mapping);
-      ++st[i].cursor;
     };
     // Segment-local caches, refreshed only when work is committed: each
     // request's committed TB count and its dense scheduler index (the hook
@@ -886,42 +1050,35 @@ BatchStats DecodePass::run_continuous(bool verbose) const {
 
     // Assemble the segment start. Outside paged mode one pass always
     // enqueues something; with paging the pass can come up empty (every
-    // resident request mid-refetch), in which case the stream clock hops to
+    // live request mid-refetch), in which case the stream clock hops to
     // the next event - a refetch completion or an arrival - and retries.
     std::size_t started = 0;
     for (;;) {
-      notice_arrivals();
+      notice_arrivals(base);
       // Drain-boundary eviction sweep (paged mode): a carried-over running
       // request yields its stage boundary - and its cold blocks' budget
       // bytes - to much-shorter pressure before re-enqueueing. This is
       // where a LONE long request is evicted in favor of a budget-blocked
       // short arrival (mid-flight stage boundaries take the hook's
       // preemption path instead; a lone request's boundary IS the drain).
-      if (paged && policy.config().preempt) {
+      if (eng.paged() && policy.config().preempt) {
         for (std::size_t i = 0; i < reqs.size(); ++i) {
-          if (!st[i].running || st[i].finished || st[i].awaiting_refetch) {
-            continue;
-          }
-          if (policy.should_preempt(remaining_work(i), running_work(i),
-                                    eviction_pressure_on(i))) {
-            preempt_mark(i, base);
+          if (eng.state(i) == ReqState::kRunning &&
+              policy.should_preempt(eng.remaining_work(i),
+                                    eng.running_work(i),
+                                    eng.eviction_pressure_on(i))) {
+            eng.preempt(i, base);
           }
         }
       }
-      std::vector<std::size_t> selected =
-          policy.select(queued_candidates(), running_work(kNobody),
-                        resident_bytes);
-      if (selected.empty() && !any_running()) {
-        Cycle next_arrival = kNeverCycle;
-        for (std::size_t i = 0; i < reqs.size(); ++i) {
-          if (!st[i].finished && !st[i].admitted_ever && !st[i].queued) {
-            next_arrival = std::min(next_arrival, reqs[i].arrival_cycle);
-          }
-        }
-        base = next_arrival;  // unfinished implies a pending arrival exists
-        notice_arrivals();
-        selected = policy.select(queued_candidates(), running_work(kNobody),
-                                 resident_bytes);
+      std::vector<std::size_t> selected = eng.select();
+      if (selected.empty() && eng.num_live() == 0) {
+        // The policy guarantees progress on an idle machine, so the queue
+        // is empty: idle until the next arrival, keeping the dead cycles
+        // on the stream clock.
+        base = eng.hop_target(base, "idle machine");
+        notice_arrivals(base);
+        selected = eng.select();
       }
 
       // Requests continuing from the previous segment plus this sweep's
@@ -931,32 +1088,24 @@ BatchStats DecodePass::run_continuous(bool verbose) const {
       std::sort(selected.begin(), selected.end());
       for (std::size_t i = 0; i < reqs.size(); ++i) {
         if (std::binary_search(selected.begin(), selected.end(), i)) {
-          admit_mark(i, base);
+          eng.admit_queued(i, base);
         }
-        if (st[i].running && !st[i].finished && ready_to_enqueue(i, base)) {
+        if (eng.live(i) && eng.ready_to_enqueue(i, base)) {
           enqueue_next(i);
           ++started;
         }
       }
       if (started > 0) break;
-      // Nothing entered the machine: everyone resident is paying a refetch
+      // Nothing entered the machine: everyone live is paying a refetch
       // (the machine idles on the host link). Hop to the earliest refetch
-      // completion or not-yet-noticed arrival; both are strictly > base,
-      // and one must exist while started == 0, so this terminates.
-      Cycle hop = kNeverCycle;
-      for (std::size_t i = 0; i < reqs.size(); ++i) {
-        if (st[i].running && st[i].awaiting_refetch) {
-          hop = std::min(hop, st[i].refetch_ready);
-        }
-        if (!st[i].finished && !st[i].admitted_ever && !st[i].queued) {
-          hop = std::min(hop, reqs[i].arrival_cycle);
-        }
-      }
-      base = hop;
+      // completion or not-yet-noticed arrival; both are strictly > base.
+      base = eng.hop_target(base, "every live request refetching");
     }
     src.commit(pass_cfg_.interleave);
     for (std::size_t i = 0; i < reqs.size(); ++i) {
-      if (st[i].running) seg_enq[i] = src.tbs_of_request(reqs[i].id);
+      if (eng.state(i) == ReqState::kRunning) {
+        seg_enq[i] = src.tbs_of_request(reqs[i].id);
+      }
     }
     System sys(cfg_, src, &src);
     if (verbose) {
@@ -973,17 +1122,7 @@ BatchStats DecodePass::run_continuous(bool verbose) const {
       // busy machine cycles, which forbid skipping by themselves), so the
       // System may jump straight to the landmark.
       const auto publish_hint = [&] {
-        Cycle next = kNeverCycle;
-        for (std::size_t i = 0; i < reqs.size(); ++i) {
-          if (!st[i].queued && !st[i].running && !st[i].admitted_ever &&
-              !st[i].finished && reqs[i].arrival_cycle > global) {
-            next = std::min(next, reqs[i].arrival_cycle);
-          }
-          if (st[i].running && !st[i].finished && st[i].awaiting_refetch &&
-              st[i].refetch_ready > global) {
-            next = std::min(next, st[i].refetch_ready);
-          }
-        }
+        const Cycle next = eng.next_landmark(global);
         s.set_wake_hint(next == kNeverCycle ? kNeverCycle : next - base);
       };
       const auto commit_and_refresh = [&](const std::vector<std::size_t>& is) {
@@ -995,16 +1134,13 @@ BatchStats DecodePass::run_continuous(bool verbose) const {
       };
       std::vector<std::size_t> touched;
       const auto admit_sweep = [&] {
-        const std::vector<AdmissionPolicy::Candidate> q = queued_candidates();
-        if (q.empty()) return;
-        std::vector<std::size_t> picks =
-            policy.select(q, running_work(kNobody), resident_bytes);
+        std::vector<std::size_t> picks = eng.select();
         std::sort(picks.begin(), picks.end());
         for (const std::size_t i : picks) {
-          admit_mark(i, global);
+          eng.admit_queued(i, global);
           // A paged resume is admitted (budget re-pinned) but its operator
           // waits out the refetch; step 1.5 below enqueues it when due.
-          if (ready_to_enqueue(i, global)) {
+          if (eng.ready_to_enqueue(i, global)) {
             enqueue_next(i);
             touched.push_back(i);
           }
@@ -1012,46 +1148,35 @@ BatchStats DecodePass::run_continuous(bool verbose) const {
       };
       // 1) Arrivals enter the serving queue mid-flight; the policy admits
       // whoever fits into the live machine (all of them under kNone).
-      bool swept = false;
-      for (std::size_t i = 0; i < reqs.size(); ++i) {
-        if (!st[i].queued && !st[i].running && !st[i].admitted_ever &&
-            !st[i].finished && reqs[i].arrival_cycle <= global) {
-          enter_queue(i, global);
-          swept = true;
-        }
-      }
-      if (swept) admit_sweep();
+      if (notice_arrivals(global)) admit_sweep();
       if (!touched.empty()) commit_and_refresh(touched);
       // 1.5) Requests whose refetch transfer just completed (paged resumes,
       // or first admissions that refetched a peer-released shared block)
       // enter the machine.
-      if (pool) {
+      if (eng.count(ReqState::kRefetching) != 0) {
         touched.clear();
         for (std::size_t i = 0; i < reqs.size(); ++i) {
-          if (st[i].running && !st[i].finished && st[i].awaiting_refetch &&
-              ready_to_enqueue(i, global)) {
+          if (eng.state(i) == ReqState::kRefetching &&
+              eng.land_refetch(i, global)) {
             enqueue_next(i);
             touched.push_back(i);
           }
         }
         if (!touched.empty()) commit_and_refresh(touched);
       }
-      // 2) Stage handoff. A request whose current operator just completed
-      // advances (or finishes) eagerly as long as it has company - any
-      // other running request keeps the machine live, so the stream never
-      // drains (simultaneous completions included: the tied requests
+      // 2) Stage handoff. A running request whose current operator just
+      // completed advances (or finishes) eagerly as long as it has company
+      // - any other live request keeps the machine live, so the stream
+      // never drains (simultaneous completions included: the tied requests
       // advance together rather than forcing a barrier). A request *alone*
       // in the machine instead hands off at the drain boundary: the
       // segment ends and its next operator starts in a fresh System,
       // exactly like a one-request wave. With preemption enabled, a
       // request due to advance instead yields its stage boundary to a
       // much-shorter co-running request: it re-enters the serving queue
-      // with its KV (and budget share) intact.
-      std::size_t live = 0;
-      for (std::size_t i = 0; i < reqs.size(); ++i) {
-        if (st[i].running && !st[i].finished) ++live;
-      }
-      if (live < 2) {
+      // with its KV (and budget share) intact. A refetching request has no
+      // operator in flight, so it never takes this path.
+      if (eng.num_live() < 2) {
         publish_hint();
         return;
       }
@@ -1065,38 +1190,32 @@ BatchStats DecodePass::run_continuous(bool verbose) const {
       touched.clear();
       bool freed = false;
       for (std::size_t i = 0; i < reqs.size(); ++i) {
-        if (!st[i].running || st[i].finished) continue;
+        if (eng.state(i) != ReqState::kRunning) continue;
         if (seg_enq[i] == 0 || seg_completed(i) != seg_enq[i]) continue;
         // The op at cursor-1 just completed. If it closes a decode step,
         // stamp the step-finish landmark (the TBT clock) now, BEFORE the
         // advance/preempt/finish decision: a preempted request's completed
         // operator still ended its step at this cycle.
-        {
-          const ScheduledOp& done = schedule_[chains[i][st[i].cursor - 1]];
-          if (st[i].cursor == chains[i].size() ||
-              schedule_[chains[i][st[i].cursor]].step != done.step) {
-            out.per_request[i].step_finish_cycles.push_back(global);
-          }
+        if (eng.closes_step(i)) {
+          out.per_request[i].step_finish_cycles.push_back(global);
         }
-        if (st[i].cursor < chains[i].size()) {
+        if (!eng.chain_done(i)) {
           if (policy.config().preempt &&
-              policy.should_preempt(remaining_work(i), running_work(i),
-                                    eviction_pressure_on(i))) {
-            preempt_mark(i, global);
+              policy.should_preempt(eng.remaining_work(i),
+                                    eng.running_work(i),
+                                    eng.eviction_pressure_on(i))) {
+            eng.preempt(i, global);
+            // Its completed operator is consumed: if it resumes into a
+            // refetch hold, the stale count must not read as a fresh
+            // completion.
+            seg_enq[i] = 0;
             freed = true;
           } else {
             enqueue_next(i);
             touched.push_back(i);
           }
         } else {
-          st[i].finished = true;
-          st[i].running = false;
-          out.per_request[i].finish_cycle = global;
-          // A finish unrefs instead of freeing: shared blocks a peer still
-          // holds stay resident and charged, so the pool's freed bytes can
-          // be less than the peak footprint.
-          resident_bytes -= pool ? pool->finish(i) : peak_bytes[i];
-          if (auditor) auditor->on_finish(i, global, resident_bytes);
+          eng.finish(i, global);
           src.retire_request(reqs[i].id);
           freed = true;
         }
@@ -1118,61 +1237,44 @@ BatchStats DecodePass::run_continuous(bool verbose) const {
     const std::chrono::duration<double> dt =
         // lint:allow(wallclock): verbose-mode segment wall timing; never feeds sim state
         std::chrono::steady_clock::now() - t0;
+    const Cycle end = base + seg.cycles;
 
     // Drain boundary: every op enqueued this segment has completed by now.
-    // A still-running request with segment work (seg_enq != 0) therefore
-    // just completed its op at cursor-1 without the hook seeing it (it was
+    // A running request with segment work (seg_enq != 0) therefore just
+    // completed its op at cursor-1 without the hook seeing it (it was
     // alone, or the completion coincided with the drain) - if that op
     // closes a decode step, the step ends at the segment boundary, exactly
     // where the finish landmark below lands. Requests the hook already
     // advanced moved their cursor past the recorded op, so nothing is
-    // stamped twice; a request that only waited out a refetch here has
-    // seg_enq == 0 and is skipped.
+    // stamped twice; a refetching request has no op in flight and is
+    // skipped. Requests that ran out of chain with no co-resident work
+    // finish here, with the drain included in their latency (their final
+    // stage ends exactly like a one-request wave).
     for (std::size_t i = 0; i < reqs.size(); ++i) {
-      if (!st[i].running || st[i].finished || seg_enq[i] == 0) continue;
-      const ScheduledOp& done = schedule_[chains[i][st[i].cursor - 1]];
-      if (st[i].cursor == chains[i].size() ||
-          schedule_[chains[i][st[i].cursor]].step != done.step) {
-        out.per_request[i].step_finish_cycles.push_back(base + seg.cycles);
+      if (eng.state(i) != ReqState::kRunning || seg_enq[i] == 0) continue;
+      if (eng.closes_step(i)) {
+        out.per_request[i].step_finish_cycles.push_back(end);
       }
     }
-    // Requests that ran out of chain with no co-resident work finish here,
-    // with the drain included in their latency (their final stage ends
-    // exactly like a one-request wave).
     for (std::size_t i = 0; i < reqs.size(); ++i) {
-      if (st[i].running && !st[i].finished &&
-          st[i].cursor == chains[i].size()) {
-        st[i].finished = true;
-        st[i].running = false;
-        out.per_request[i].finish_cycle = base + seg.cycles;
-        resident_bytes -= pool ? pool->finish(i) : peak_bytes[i];
-        if (auditor) {
-          auditor->on_finish(i, base + seg.cycles, resident_bytes);
-        }
+      if (eng.state(i) == ReqState::kRunning && eng.chain_done(i)) {
+        eng.finish(i, end);
       }
     }
     shift_slices(seg, base);
     for (const RequestSlice& sl : seg.per_request) {
       out.per_request[by_id.at(sl.request_id)].slice.accumulate(sl);
     }
-    base += seg.cycles;
     out.total.accumulate(seg);
     out.per_op.push_back(ExperimentResult{
-        "seg" + std::to_string(seg_id) + "@" +
-            std::to_string(base - seg.cycles),
+        "seg" + std::to_string(seg_id) + "@" + std::to_string(base),
         std::move(seg), dt.count()});
+    base = end;
     ++seg_id;
   }
 
-  if (auditor) auditor->on_pass_end();
+  eng.end_pass();
   out.makespan = base;
-  if (out.shared) {
-    out.kv_block_lookups = pool->total_lookups();
-    out.kv_block_hits = pool->total_hits();
-    out.kv_shared_bytes = pool->total_shared_bytes();
-    out.kv_charged_bytes = pool->total_charged_bytes();
-    out.kv_logical_bytes = pool->total_logical_bytes();
-  }
   for (RequestStats& rs : out.per_request) {
     // True per-request latency: finish minus arrival, queueing included.
     rs.stats.cycles = rs.latency();

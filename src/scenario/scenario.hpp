@@ -28,9 +28,9 @@
 //    (finish - arrival) plus the batch makespan.
 //
 // On top of kContinuous sits the serving-policy layer (serving.hpp:
-// KV-budgeted admission, stage-boundary preemption) and the paged KV model
-// (kv_pager.hpp: cold-block eviction to a modeled host tier, refetch at
-// resume). docs/architecture.md maps the whole stack, walks one request's
+// KV-budgeted admission, stage-boundary preemption) and the KV block pool
+// (kv_block_pool.hpp: cold-block eviction to a modeled host tier, refetch
+// at resume, prefix sharing). docs/architecture.md maps the whole stack, walks one request's
 // life-cycle through it, and has the "add a new policy / stat / CLI flag"
 // contributor recipes; docs/metrics.md defines every stat reported here.
 #pragma once
@@ -208,7 +208,7 @@ struct RequestStats {
   Cycle queued_cycles = 0;
   /// Times the serving policy evicted this request at a stage boundary.
   std::uint32_t preemptions = 0;
-  /// Paged-KV counters (0 unless kv_evict=cold-blocks; see kv_pager.hpp).
+  /// Paged-KV counters (0 unless kv_evict=cold-blocks; see kv_block_pool.hpp).
   /// Cumulative KV blocks swapped out to the host tier across this
   /// request's preemptions...
   std::uint64_t swapped_blocks = 0;

@@ -26,7 +26,7 @@
 //
 // `kv_evict = cold-blocks` changes that: a preemption additionally swaps
 // the preempted request's cold KV blocks out to a modeled DRAM/host tier
-// (scenario/kv_pager.hpp), freeing their budget bytes immediately, and a
+// (scenario/kv_block_pool.hpp), freeing their budget bytes immediately, and a
 // budget-blocked *much shorter* queued candidate now counts as preemption
 // pressure (`should_preempt`'s `blocked_work`) - so a long lone request
 // yields its stage boundary, and its budget share, to a short arrival that
@@ -72,11 +72,11 @@ struct ServingConfig {
   /// kColdBlocks swaps cold blocks to the modeled host tier and charges a
   /// refetch at resume.
   KvEvictPolicy kv_evict = KvEvictPolicy::kNone;
-  /// Fixed KV block size for the pager, in bytes (0 = the default
+  /// Fixed KV block size of the block pool, in bytes (0 = the default
   /// line-granule block, kLineBytes). Must be a multiple of kLineBytes.
   std::uint64_t kv_block_bytes = 0;
   /// Core cycles charged per refetched block at resume (0 = derive from
-  /// the modeled ~8 B/cycle host link; see KvPagerConfig::cycles_per_block).
+  /// the modeled ~8 B/cycle host link; see KvBlockPoolConfig::cycles_per_block).
   Cycle refetch_cost = 0;
   /// Cross-request KV prefix reuse (scenario/kv_block_pool.hpp): requests
   /// in the same prefix group share the KV blocks of their common prefix,

@@ -232,7 +232,7 @@ batch scenario (--op=batch)
                      tier - freeing budget bytes immediately - and charge
                      a refetch at resume); requires --preempt and a finite
                      --kv-budget
-  --kv-block-bytes=N cold-blocks only: pager block size in bytes, a
+  --kv-block-bytes=N cold-blocks only: KV block size in bytes, a
                      multiple of 64 (default 64, the line granule)
   --refetch-cost=N   cold-blocks only: resume refetch price in cycles per
                      block (default block_bytes/8: an ~8 B/cycle modeled

@@ -77,7 +77,7 @@ struct CliOptions {
   /// Paged KV eviction on preemption (cold blocks swap to a modeled host
   /// tier, refetch charged at resume); requires --preempt and --kv-budget.
   KvEvictPolicy batch_kv_evict = KvEvictPolicy::kNone;
-  /// Pager block size in bytes (0 = the line-granule default) and the
+  /// KV block size in bytes (0 = the line-granule default) and the
   /// refetch price in cycles per block (0 = the modeled host-link default).
   std::uint64_t batch_kv_block_bytes = 0;
   std::uint64_t batch_refetch_cost = 0;

@@ -157,7 +157,7 @@ std::vector<MeasuredRow> measure_all_policy_pairs() {
   // two budget-blocked short arrivals, under kv_evict=cold-blocks. The
   // blocked shorts trigger a stage-boundary eviction of the long request
   // (swap-based admission), and the long resumes through a refetch - so
-  // these rows pin the evict/refetch path (pager bookkeeping, the
+  // these rows pin the evict/refetch path (block-pool bookkeeping, the
   // queued-yield admission gate, the refetch hold) per headline policy
   // pair and queue discipline. `cycles` is the stream makespan, which
   // includes the refetch transfer.

@@ -1,18 +1,20 @@
 // KV byte-conservation ledger: eviction/refetch edge cases at four levels.
-// KvPager bookkeeping (evict-then-immediately-resume round trips, partial
-// tail pinning at odd block sizes), the shared KvBlockPool's ref-counted
-// eviction (double-unref rejection, swap refusal while a peer pins a block,
-// last-unref-then-evict, shared partial tails at odd block sizes), the
+// Private KvBlockPool bookkeeping (evict-then-immediately-resume round
+// trips, partial tail pinning at odd block sizes), the shared pool's
+// ref-counted eviction (double-unref rejection, swap refusal while a peer
+// pins a block, last-unref-then-evict, shared partial tails at odd block
+// sizes), the
 // ServingAuditor shadow ledger (the contract enforcer itself must reject the
 // races it exists to catch, e.g. a finish racing an outstanding swap), and
 // the audited engine end-to-end at an odd --kv-block-bytes.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "scenario/invariants.hpp"
 #include "scenario/kv_block_pool.hpp"
-#include "scenario/kv_pager.hpp"
 #include "scenario/scenario.hpp"
 
 namespace llamcat {
@@ -23,8 +25,6 @@ using scenario::DecodePassConfig;
 using scenario::InvariantViolation;
 using scenario::KvBlockPool;
 using scenario::KvBlockPoolConfig;
-using scenario::KvPager;
-using scenario::KvPagerConfig;
 using scenario::RequestBatch;
 using scenario::ServingAuditor;
 
@@ -49,50 +49,57 @@ ModelShape tiny_model() {
 constexpr std::uint64_t kTinyBytesPerToken = 2ull * 128 * 2;
 
 // ---------------------------------------------------------------------------
-// KvPager: swap round trips and tail pinning
+// Private blocks: swap round trips and tail pinning
 // ---------------------------------------------------------------------------
 
+/// One private request of `footprint` bytes at `block_bytes` blocks.
+KvBlockPool private_one(std::uint64_t block_bytes, std::uint64_t footprint) {
+  KvBlockPoolConfig cfg;
+  cfg.block_bytes = block_bytes;
+  return KvBlockPool(cfg, {{footprint}});
+}
+
 TEST(KvLedger, EvictThenImmediatelyResumeRoundTrips) {
-  KvPagerConfig cfg;
-  cfg.block_bytes = 64;
-  KvPager pager(cfg, {64 * 10});
-  const std::uint64_t freed = pager.evict_cold(0);
+  KvBlockPool pool = private_one(64, 64 * 10);
+  (void)pool.admit(0);
+  const std::uint64_t freed = pool.release(0);
   EXPECT_EQ(freed, 64u * 10);
-  EXPECT_EQ(pager.swapped_blocks(0), 10u);
+  EXPECT_EQ(pool.resume_cost(0), freed);
   // Resume before anything else happens: the refetch must restore exactly
   // what the eviction moved, and the ledger must read fully resident again.
-  const KvPager::Refetch r = pager.refetch(0);
-  EXPECT_EQ(r.bytes, freed);
-  EXPECT_EQ(r.blocks, 10u);
-  EXPECT_EQ(pager.swapped_blocks(0), 0u);
-  EXPECT_EQ(pager.evictable_blocks(0), 10u);
+  const KvBlockPool::Admission r = pool.resume(0);
+  EXPECT_EQ(r.charged_bytes, freed);
+  EXPECT_EQ(r.refetch_blocks, 10u);
+  EXPECT_EQ(pool.resume_cost(0), 0u);
+  EXPECT_EQ(pool.releasable_blocks(0), 10u);
   // And the round trip is repeatable - no state leaks across cycles.
-  EXPECT_EQ(pager.evict_cold(0), freed);
-  EXPECT_EQ(pager.refetch(0).bytes, freed);
+  EXPECT_EQ(pool.release(0), freed);
+  EXPECT_EQ(pool.resume(0).charged_bytes, freed);
 }
 
 TEST(KvLedger, OddBlockSizePinsThePartialTail) {
   // 1000-byte footprint, 192-byte blocks: 5 whole blocks (960 B) can move,
   // the 40-byte tail can never leave the resident tier.
-  KvPagerConfig cfg;
-  cfg.block_bytes = 192;
-  KvPager pager(cfg, {1000});
-  EXPECT_EQ(pager.total_blocks(0), 5u);
-  const std::uint64_t freed = pager.evict_cold(0);
+  KvBlockPool pool = private_one(192, 1000);
+  (void)pool.admit(0);
+  EXPECT_EQ(pool.releasable_blocks(0), 5u);
+  const std::uint64_t freed = pool.release(0);
   EXPECT_EQ(freed, 5u * 192);
   EXPECT_LT(freed, 1000u);  // the tail stayed pinned
-  // Second eviction with everything already out frees nothing (idempotent).
-  EXPECT_EQ(pager.evict_cold(0), 0u);
-  EXPECT_EQ(pager.refetch(0).bytes, 5u * 192);
+  // With everything already out, nothing more is releasable.
+  EXPECT_EQ(pool.releasable_blocks(0), 0u);
+  EXPECT_EQ(pool.resume(0).charged_bytes, 5u * 192);
+  EXPECT_EQ(pool.finish(0), 1000u);  // tail included
 }
 
 TEST(KvLedger, BlockLargerThanFootprintIsUnswappable) {
-  KvPagerConfig cfg;
-  cfg.block_bytes = 1 << 20;
-  KvPager pager(cfg, {4096});
-  EXPECT_EQ(pager.total_blocks(0), 0u);
-  EXPECT_EQ(pager.evict_cold(0), 0u);
-  EXPECT_EQ(pager.refetch(0).bytes, 0u);
+  KvBlockPool pool = private_one(1 << 20, 4096);
+  (void)pool.admit(0);
+  EXPECT_EQ(pool.releasable_blocks(0), 0u);
+  EXPECT_EQ(pool.release(0), 0u);
+  const KvBlockPool::Admission r = pool.resume(0);
+  EXPECT_EQ(r.charged_bytes, 0u);
+  EXPECT_EQ(r.refetch_blocks, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -186,9 +193,19 @@ TEST(KvBlockPoolLedger, FinishWhileReleasedIsRejected) {
 // ServingAuditor: the shadow ledger rejects the races it exists to catch
 // ---------------------------------------------------------------------------
 
+/// An auditor over private requests of the given footprints.
+ServingAuditor private_auditor(std::uint64_t budget, std::uint64_t block_bytes,
+                               bool paged,
+                               const std::vector<std::uint64_t>& footprints) {
+  std::vector<KvBlockPool::RequestLayout> layouts;
+  for (const std::uint64_t f : footprints) layouts.push_back({f});
+  return ServingAuditor(budget, block_bytes, paged, std::move(layouts));
+}
+
 TEST(KvLedgerAuditor, CleanLifecycleWithSwapRoundTripPasses) {
   // budget 1000, one request of 700 with 100-byte blocks (700 = 7 blocks).
-  ServingAuditor audit(/*budget=*/1000, {700}, /*block_bytes=*/100);
+  ServingAuditor audit =
+      private_auditor(/*budget=*/1000, /*block_bytes=*/100, true, {700});
   audit.on_admit(0, 10, 700);
   audit.on_evict(0, 700, 20, 0);    // all 7 blocks out
   audit.on_resume(0, 700, 30, 700);  // all 7 back
@@ -197,50 +214,51 @@ TEST(KvLedgerAuditor, CleanLifecycleWithSwapRoundTripPasses) {
 }
 
 TEST(KvLedgerAuditor, FinishRacingAnOutstandingSwapThrows) {
-  ServingAuditor audit(0, {700}, 100);
+  ServingAuditor audit = private_auditor(0, 100, true, {700});
   audit.on_admit(0, 1, 700);
-  audit.on_evict(0, 300, 2, 400);
+  audit.on_evict(0, 700, 2, 0);
   // The engine's contract: a resume refetches everything before the request
   // can run again, so a finish with bytes still swapped out is impossible.
   EXPECT_THROW(audit.on_finish(0, 3, 0), InvariantViolation);
 }
 
 TEST(KvLedgerAuditor, PartialRefetchThrows) {
-  ServingAuditor audit(0, {700}, 100);
+  ServingAuditor audit = private_auditor(0, 100, true, {700});
   audit.on_admit(0, 1, 700);
-  audit.on_evict(0, 500, 2, 200);
-  // Refetching less than the swapped set would leave the pinned+swapped
-  // sum short of the peak footprint.
-  EXPECT_THROW(audit.on_resume(0, 300, 3, 500), InvariantViolation);
+  audit.on_evict(0, 700, 2, 0);
+  // Refetching less than the swapped set would leave blocks on the host
+  // tier of a running request.
+  EXPECT_THROW(audit.on_resume(0, 300, 3, 300), InvariantViolation);
 }
 
 TEST(KvLedgerAuditor, NonBlockGranularSwapThrows) {
-  ServingAuditor audit(0, {700}, 100);
+  ServingAuditor audit = private_auditor(0, 100, true, {700});
   audit.on_admit(0, 1, 700);
   EXPECT_THROW(audit.on_evict(0, 150, 2, 550), InvariantViolation);
 }
 
 TEST(KvLedgerAuditor, EngineLedgerDivergenceThrows) {
-  ServingAuditor audit(0, {700}, 0);
+  ServingAuditor audit = private_auditor(0, 64, false, {700});
   // The engine claims 650 resident after pinning 700: the shadow ledger
   // catches the drift on the exact event.
   EXPECT_THROW(audit.on_admit(0, 1, 650), InvariantViolation);
 }
 
 TEST(KvLedgerAuditor, OverBudgetPinThrows) {
-  ServingAuditor audit(/*budget=*/1000, {700, 700}, 0);
+  ServingAuditor audit =
+      private_auditor(/*budget=*/1000, 64, false, {700, 700});
   audit.on_admit(0, 1, 700);
   EXPECT_THROW(audit.on_admit(1, 2, 1400), InvariantViolation);
 }
 
 TEST(KvLedgerAuditor, BackwardsClockThrows) {
-  ServingAuditor audit(0, {700, 700}, 0);
+  ServingAuditor audit = private_auditor(0, 64, false, {700, 700});
   audit.on_admit(0, 10, 700);
   EXPECT_THROW(audit.on_admit(1, 5, 1400), InvariantViolation);
 }
 
 TEST(KvLedgerAuditor, UnfinishedRequestFailsPassEnd) {
-  ServingAuditor audit(0, {700}, 0);
+  ServingAuditor audit = private_auditor(0, 64, false, {700});
   audit.on_admit(0, 1, 700);
   EXPECT_THROW(audit.on_pass_end(), InvariantViolation);
 }

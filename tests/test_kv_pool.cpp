@@ -1,13 +1,13 @@
 // KvBlockPool unit tests: admission/hit/charge byte math, conservative
-// admission estimates, pager byte-equivalence for all-private layouts (the
-// property that keeps --kv-share=off golden rows byte-identical), lifecycle
-// enforcement and the cumulative pool counters that feed BatchStats.
+// admission estimates, the closed-form whole-block arithmetic of
+// all-private layouts (the property that keeps --kv-share=off golden rows
+// byte-identical), lifecycle enforcement and the cumulative pool counters
+// that feed BatchStats.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
 #include "scenario/kv_block_pool.hpp"
-#include "scenario/kv_pager.hpp"
 
 namespace llamcat {
 namespace {
@@ -15,8 +15,6 @@ namespace {
 using scenario::kNoPrefixGroup;
 using scenario::KvBlockPool;
 using scenario::KvBlockPoolConfig;
-using scenario::KvPager;
-using scenario::KvPagerConfig;
 
 TEST(KvBlockPool, ConfigValidation) {
   KvBlockPoolConfig cfg;
@@ -24,9 +22,6 @@ TEST(KvBlockPool, ConfigValidation) {
   cfg.block_bytes = 100;  // not a line multiple
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg.block_bytes = 0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg = KvBlockPoolConfig{};
-  cfg.shard_bits = 20;  // 1M shards is a typo, not a topology
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
@@ -163,32 +158,32 @@ TEST(KvBlockPool, LifecycleMisuseThrows) {
 }
 
 // The property the golden rows lean on: with every layout private, the
-// pool's charges, frees and refetch prices equal KvPager's byte for byte
-// across a full evict/resume cycle - at the line granule, an odd block size
-// and a block larger than the footprint.
+// pool's charges, frees and refetch prices are the per-request whole-block
+// arithmetic (footprint / block whole blocks swap, a partial tail stays,
+// refetch costs blocks x cycles_per_block) byte for byte across a full
+// evict/resume cycle - at the line granule, an odd block size and a block
+// larger than the footprint.
 TEST(KvBlockPool, AllPrivatePoolMatchesThePagerByteForByte) {
   for (const std::uint64_t block : {64ull, 192ull, 4096ull, 1ull << 20}) {
-    KvBlockPoolConfig pool_cfg;
-    pool_cfg.block_bytes = block;
-    KvPagerConfig pager_cfg;
-    pager_cfg.block_bytes = block;
+    KvBlockPoolConfig cfg;
+    cfg.block_bytes = block;
     const std::vector<std::uint64_t> footprints = {1000, 4096, 64};
     std::vector<KvBlockPool::RequestLayout> layouts;
     for (const std::uint64_t f : footprints) layouts.push_back({f, kNoPrefixGroup, 0});
-    KvBlockPool pool(pool_cfg, layouts);
-    KvPager pager(pager_cfg, footprints);
+    KvBlockPool pool(cfg, layouts);
     for (std::size_t i = 0; i < footprints.size(); ++i) {
+      const std::uint64_t blocks = footprints[i] / block;
       EXPECT_EQ(pool.admit_cost(i), footprints[i]) << "block " << block;
       EXPECT_EQ(pool.admit(i).charged_bytes, footprints[i]);
-      EXPECT_EQ(pool.releasable_blocks(i), pager.evictable_blocks(i))
+      EXPECT_EQ(pool.releasable_blocks(i), blocks)
           << "block " << block << " req " << i;
-      const std::uint64_t pool_freed = pool.release(i);
-      EXPECT_EQ(pool_freed, pager.evict_cold(i)) << "block " << block;
-      const KvPager::Refetch pf = pager.refetch(i);
+      EXPECT_EQ(pool.release(i), blocks * block) << "block " << block;
       const KvBlockPool::Admission pr = pool.resume(i);
-      EXPECT_EQ(pr.charged_bytes, pf.bytes) << "block " << block;
-      EXPECT_EQ(pr.refetch_blocks, pf.blocks) << "block " << block;
-      EXPECT_EQ(pr.refetch_cycles, pf.cycles) << "block " << block;
+      EXPECT_EQ(pr.charged_bytes, blocks * block) << "block " << block;
+      EXPECT_EQ(pr.refetch_bytes, blocks * block) << "block " << block;
+      EXPECT_EQ(pr.refetch_blocks, blocks) << "block " << block;
+      EXPECT_EQ(pr.refetch_cycles, blocks * cfg.cycles_per_block())
+          << "block " << block;
       EXPECT_EQ(pool.finish(i), footprints[i]);
     }
     EXPECT_EQ(pool.total_lookups(), 0u);

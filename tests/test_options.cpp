@@ -328,7 +328,7 @@ TEST(ParseCli, PagedEvictionFlagsCrossChecked) {
              "--preempt", "--kv-evict=cold-blocks"});
   ASSERT_FALSE(no_budget.ok());
   EXPECT_NE(no_budget.error.find("--kv-budget"), std::string::npos);
-  // The pager knobs only exist under cold-blocks.
+  // The paging knobs only exist under cold-blocks.
   EXPECT_FALSE(parse({"--op=batch", "--mode=continuous",
                       "--admit-policy=fcfs", "--kv-budget=1048576",
                       "--preempt", "--kv-block-bytes=4096"})

@@ -1,6 +1,7 @@
-// Paged KV eviction: KvPager block bookkeeping, the ServingConfig /
-// AdmissionPolicy extensions (cold-block eviction, queued-yield gate,
-// blocked-work preemption pressure), and the continuous engine's
+// Paged KV eviction: private-block bookkeeping of the KV block pool, the
+// ServingConfig / AdmissionPolicy extensions (cold-block eviction,
+// queued-yield gate, blocked-work preemption pressure), and the continuous
+// engine's
 // evict-at-preemption / refetch-at-resume path - including the headline
 // property that eviction actually frees budget bytes (a budget-blocked
 // arrival admits after an eviction where resident preemption would make it
@@ -9,7 +10,7 @@
 
 #include <stdexcept>
 
-#include "scenario/kv_pager.hpp"
+#include "scenario/kv_block_pool.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/serving.hpp"
 
@@ -21,8 +22,8 @@ using scenario::AdmitPolicy;
 using scenario::BatchStats;
 using scenario::DecodePass;
 using scenario::DecodePassConfig;
-using scenario::KvPager;
-using scenario::KvPagerConfig;
+using scenario::KvBlockPool;
+using scenario::KvBlockPoolConfig;
 using scenario::RequestBatch;
 using scenario::RequestStats;
 using scenario::ServingConfig;
@@ -48,25 +49,25 @@ ModelShape tiny_model() {
 constexpr std::uint64_t kTinyBytesPerToken = 2ull * 128 * 2;
 
 // ---------------------------------------------------------------------------
-// KvPager block bookkeeping
+// Private-block bookkeeping (KvBlockPool with no prefix group)
 // ---------------------------------------------------------------------------
 
-TEST(KvPagerConfigValidate, BlockBytesMustBeLineMultiple) {
-  KvPagerConfig ok;
+TEST(PagedKvBlocksValidate, BlockBytesMustBeLineMultiple) {
+  KvBlockPoolConfig ok;
   EXPECT_NO_THROW(ok.validate());
   ok.block_bytes = 4096;
   EXPECT_NO_THROW(ok.validate());
 
-  KvPagerConfig zero;
+  KvBlockPoolConfig zero;
   zero.block_bytes = 0;
   EXPECT_THROW(zero.validate(), std::invalid_argument);
-  KvPagerConfig odd;
+  KvBlockPoolConfig odd;
   odd.block_bytes = 100;
   EXPECT_THROW(odd.validate(), std::invalid_argument);
 }
 
-TEST(KvPagerConfig, RefetchCostDefaultsToModeledHostLink) {
-  KvPagerConfig cfg;  // 64-byte blocks, 8 B/cycle link
+TEST(PagedKvBlocks, RefetchCostDefaultsToModeledHostLink) {
+  KvBlockPoolConfig cfg;  // 64-byte blocks, 8 B/cycle link
   EXPECT_EQ(cfg.cycles_per_block(), 8u);
   cfg.block_bytes = 4096;
   EXPECT_EQ(cfg.cycles_per_block(), 512u);
@@ -74,40 +75,38 @@ TEST(KvPagerConfig, RefetchCostDefaultsToModeledHostLink) {
   EXPECT_EQ(cfg.cycles_per_block(), 3u);
 }
 
-TEST(KvPager, EvictsWholeBlocksAndKeepsThePartialTail) {
-  KvPagerConfig cfg;
+TEST(PagedKvBlocks, EvictsWholeBlocksAndKeepsThePartialTail) {
+  KvBlockPoolConfig cfg;
   cfg.block_bytes = 4096;
   // 10000 bytes = 2 whole blocks + a 1808-byte tail that can never move.
-  KvPager pager(cfg, {10000});
-  EXPECT_EQ(pager.total_blocks(0), 2u);
-  EXPECT_EQ(pager.swapped_blocks(0), 0u);
+  KvBlockPool pool(cfg, {{10000}});
+  EXPECT_EQ(pool.admit(0).charged_bytes, 10000u);
+  EXPECT_EQ(pool.releasable_blocks(0), 2u);
 
-  EXPECT_EQ(pager.evict_cold(0), 2u * 4096);
-  EXPECT_EQ(pager.swapped_blocks(0), 2u);
-  EXPECT_EQ(pager.swapped_bytes(0), 2u * 4096);
-  // Idempotent: everything swappable is already out.
-  EXPECT_EQ(pager.evict_cold(0), 0u);
-  EXPECT_EQ(pager.total_swap_out_blocks(), 2u);
+  EXPECT_EQ(pool.release(0), 2u * 4096);
+  EXPECT_EQ(pool.resume_cost(0), 2u * 4096);
+  // Everything swappable is already out: nothing more could move.
+  EXPECT_EQ(pool.releasable_blocks(0), 0u);
 }
 
-TEST(KvPager, RefetchRestoresBlocksAndPricesTheTransfer) {
-  KvPagerConfig cfg;
+TEST(PagedKvBlocks, RefetchRestoresBlocksAndPricesTheTransfer) {
+  KvBlockPoolConfig cfg;
   cfg.block_bytes = 128;
   cfg.refetch_cost = 5;
-  KvPager pager(cfg, {1024, 256});
-  EXPECT_EQ(pager.evict_cold(1), 256u);
+  KvBlockPool pool(cfg, {{1024}, {256}});
+  (void)pool.admit(0);
+  (void)pool.admit(1);
+  EXPECT_EQ(pool.release(1), 256u);
 
-  const KvPager::Refetch r = pager.refetch(1);
-  EXPECT_EQ(r.blocks, 2u);
-  EXPECT_EQ(r.bytes, 256u);
-  EXPECT_EQ(r.cycles, 10u);  // 2 blocks x 5 cycles
-  EXPECT_EQ(pager.swapped_blocks(1), 0u);
-  EXPECT_EQ(pager.total_refetch_bytes(), 256u);
+  const KvBlockPool::Admission r = pool.resume(1);
+  EXPECT_EQ(r.refetch_blocks, 2u);
+  EXPECT_EQ(r.refetch_bytes, 256u);
+  EXPECT_EQ(r.charged_bytes, 256u);
+  EXPECT_EQ(r.refetch_cycles, 10u);  // 2 blocks x 5 cycles
+  EXPECT_EQ(pool.resume_cost(1), 0u);
 
-  // Nothing swapped -> a no-op refetch.
-  const KvPager::Refetch none = pager.refetch(0);
-  EXPECT_EQ(none.blocks, 0u);
-  EXPECT_EQ(none.cycles, 0u);
+  // Nothing swapped -> nothing to refetch.
+  EXPECT_EQ(pool.resume_cost(0), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -39,6 +39,13 @@ constexpr std::uint64_t kPinnedSeeds[] = {
     // group across three simultaneous arrivals under a tight paged budget
     // (co-resident pins refuse swaps at eviction time).
     41, 185,
+    // paged multi-step draws where a request preempted mid-flight resumed
+    // into a refetch hold while its stale segment TB count still read as a
+    // fresh completion (duplicate step landmarks, skipped operators, chain
+    // overrun). Fixed by the explicit request-state machine: a refetching
+    // request never takes the stage-handoff path, and a mid-flight
+    // preemption clears its segment count.
+    226, 554, 749, 1270, 1743, 1904,
 };
 
 class PinnedSeed : public ::testing::TestWithParam<std::uint64_t> {};
