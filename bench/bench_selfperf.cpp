@@ -23,6 +23,7 @@
 #include "bench_util.hpp"
 #include "common/table.hpp"
 #include "scenario/scenario.hpp"
+#include "scenario/traffic.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -66,7 +67,27 @@ struct Scenario {
   void (*configure)(DecodePassConfig&);
 };
 
-const Scenario kMatrix[] = {
+/// A 1000-request open-loop Poisson stream past the knee: the
+/// serve_openloop shape (lognormal lengths, 1-2 decode steps, four Zipf
+/// prefix groups) with shorter gaps and sequences, so the row runs in
+/// seconds while the request count is large enough to show any per-cycle
+/// cost that grows with it.
+std::vector<RequestSpec> openloop_1k() {
+  scenario::TrafficConfig t;
+  t.num_requests = 1000;
+  t.process = TrafficProcess::kPoisson;
+  t.mean_gap = 6000;
+  t.seq_dist = TrafficDist::kLognormal;
+  t.seq_min = 32;
+  t.seq_max = 64;
+  t.steps_min = 1;
+  t.steps_max = 2;
+  t.prefix_groups = 4;
+  return scenario::generate_traffic(t);
+}
+
+std::vector<Scenario> matrix() {
+  return {
     // The per-wave barrier engine: fused Systems, address attribution.
     {"barrier_coscheduled",
      {{0, 512, 0, 1}, {1, 256, 0, 1}, {2, 128, 0, 1}, {3, 128, 0, 1}},
@@ -119,7 +140,19 @@ const Scenario kMatrix[] = {
        pc.serving.kv_block_bytes = 256;
        pc.serving.kv_share = true;
      }},
-};
+    // Open-loop serving at scale: SRF against a KV budget, preemption and
+    // prefix sharing over 1000 generated requests.
+    {"continuous_openloop_1k", openloop_1k(),
+     [](DecodePassConfig& pc) {
+       pc.num_layers = 1;
+       pc.mode = ExecutionMode::kContinuous;
+       pc.serving.policy = AdmitPolicy::kShortestRemaining;
+       pc.serving.kv_budget_bytes = 256 * kBytesPerToken;
+       pc.serving.preempt = true;
+       pc.serving.kv_share = true;
+     }},
+  };
+}
 
 std::uint64_t peak_rss_kb() {
 #if defined(__unix__) || defined(__APPLE__)
@@ -147,7 +180,7 @@ int main(int argc, char** argv) {
   table.set_header(
       {"scenario", "sim cycles", "best wall ms", "Mcyc/s", "peak RSS MB"});
   JsonRows json;
-  for (const Scenario& sc : kMatrix) {
+  for (const Scenario& sc : matrix()) {
     DecodePassConfig pc;
     pc.num_layers = 2;
     pc.include_gemv = false;

@@ -621,8 +621,14 @@ class ServingEngine {
         policy_(pass_cfg.serving),
         paged_(pass_cfg.serving.paged()),
         req_(reqs_.size()),
+        by_arrival_(reqs_.size()),
         pool_(pool_config(pass_cfg.serving), layouts(batch, pass_cfg)) {
     count_[static_cast<std::size_t>(ReqState::kPending)] = reqs_.size();
+    for (std::size_t i = 0; i < reqs_.size(); ++i) by_arrival_[i] = i;
+    std::stable_sort(by_arrival_.begin(), by_arrival_.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return reqs_[a].arrival_cycle < reqs_[b].arrival_cycle;
+                     });
     out_.paged = paged_;
     out_.shared = pass_cfg.serving.kv_share;
     // In-engine ledger auditor (invariants.hpp): every serving event below
@@ -654,15 +660,22 @@ class ServingEngine {
   [[nodiscard]] bool all_finished() const {
     return count(ReqState::kFinished) == reqs_.size();
   }
+  /// Bumped by every state change and every operator-cursor advance: the
+  /// engine-side inputs of the hook's stage-handoff scan.
+  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
   // -- edges of the request state machine -----------------------------------
 
-  /// kPending -> kWaiting: the arrival clock struck; the request enters the
-  /// serving queue.
-  void arrive(std::size_t i, Cycle now) {
-    require(i, ReqState::kPending, "arrive");
-    set(i, ReqState::kWaiting);
-    req_[i].queue_enter = now;
+  /// Every request whose arrival clock has struck by `now` enters the
+  /// serving queue (see arrive). Returns whether any did. O(1) when none
+  /// is due: the arrival cursor only ever moves forward.
+  bool notice_arrivals(Cycle now) {
+    const std::size_t first = arrived_;
+    while (arrived_ < by_arrival_.size() &&
+           reqs_[by_arrival_[arrived_]].arrival_cycle <= now) {
+      arrive(by_arrival_[arrived_++], now);
+    }
+    return arrived_ != first;
   }
 
   /// kWaiting -> kRunning | kRefetching: first admission. Pins the request's
@@ -760,6 +773,7 @@ class ServingEngine {
   /// The running request's next operator; advances its cursor.
   const ScheduledOp& take_next(std::size_t i) {
     require(i, ReqState::kRunning, "take_next");
+    ++epoch_;
     return schedule_[chains_[i][req_[i].cursor++]];
   }
   [[nodiscard]] bool chain_done(std::size_t i) const {
@@ -820,13 +834,19 @@ class ServingEngine {
 
   /// Earliest landmark after `after` the engine can act on by itself: an
   /// unarrived request's arrival or a refetch completion. kNeverCycle when
-  /// there is none.
+  /// there is none. The arrival half searches the arrival-sorted pending
+  /// suffix; every caller has just noticed the arrivals due by `after`, so
+  /// the search stops at its first entry. The refetch half scans only
+  /// while a refetch is in flight.
   [[nodiscard]] Cycle next_landmark(Cycle after) const {
     Cycle next = kNeverCycle;
+    const auto pending = std::find_if(
+        by_arrival_.begin() + static_cast<std::ptrdiff_t>(arrived_),
+        by_arrival_.end(),
+        [&](std::size_t i) { return reqs_[i].arrival_cycle > after; });
+    if (pending != by_arrival_.end()) next = reqs_[*pending].arrival_cycle;
+    if (count(ReqState::kRefetching) == 0) return next;
     for (std::size_t i = 0; i < reqs_.size(); ++i) {
-      if (state(i) == ReqState::kPending && reqs_[i].arrival_cycle > after) {
-        next = std::min(next, reqs_[i].arrival_cycle);
-      }
       if (state(i) == ReqState::kRefetching &&
           req_[i].refetch_ready > after) {
         next = std::min(next, req_[i].refetch_ready);
@@ -894,6 +914,15 @@ class ServingEngine {
     return l;
   }
 
+  /// kPending -> kWaiting: the arrival clock struck; the request enters the
+  /// serving queue. Only notice_arrivals calls it, in arrival order, which
+  /// keeps kPending exactly the suffix of by_arrival_ past the cursor.
+  void arrive(std::size_t i, Cycle now) {
+    require(i, ReqState::kPending, "arrive");
+    set(i, ReqState::kWaiting);
+    req_[i].queue_enter = now;
+  }
+
   [[nodiscard]] bool queued(std::size_t i) const {
     return state(i) == ReqState::kWaiting ||
            state(i) == ReqState::kPreempted;
@@ -925,6 +954,7 @@ class ServingEngine {
     --count_[static_cast<std::size_t>(req_[i].state)];
     ++count_[static_cast<std::size_t>(s)];
     req_[i].state = s;
+    ++epoch_;
   }
   void require(std::size_t i, ReqState expect, const char* edge) const {
     if (state(i) == expect) return;
@@ -967,6 +997,11 @@ class ServingEngine {
   const bool paged_;
   std::vector<Req> req_;
   std::array<std::size_t, kNumReqStates> count_{};
+  /// Request indices stable-sorted by arrival cycle; the first `arrived_`
+  /// have arrived, the rest are exactly the kPending requests.
+  std::vector<std::size_t> by_arrival_;
+  std::size_t arrived_ = 0;
+  std::uint64_t epoch_ = 0;
   /// KV bytes pinned by admitted, unfinished requests. Under kv_evict=none
   /// a preempted request keeps its whole charge pinned; under cold-blocks
   /// eviction its swapped blocks leave this ledger until the resume
@@ -1020,21 +1055,6 @@ BatchStats DecodePass::run_continuous(bool verbose) const {
   Cycle base = 0;
   std::size_t seg_id = 0;
 
-  // Requests whose arrival clock has struck by `now` enter the serving
-  // queue. Returns whether any did.
-  const auto notice_arrivals = [&](Cycle now) {
-    bool any = false;
-    if (eng.count(ReqState::kPending) == 0) return any;
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      if (eng.state(i) == ReqState::kPending &&
-          reqs[i].arrival_cycle <= now) {
-        eng.arrive(i, now);
-        any = true;
-      }
-    }
-    return any;
-  };
-
   while (!eng.all_finished()) {
     DynamicTbSource src;
     const auto enqueue_next = [&](std::size_t i) {
@@ -1047,6 +1067,10 @@ BatchStats DecodePass::run_continuous(bool verbose) const {
     // reads, not hash lookups).
     std::vector<std::uint64_t> seg_enq(reqs.size(), 0);
     std::vector<std::uint32_t> dense(reqs.size(), kNoRequest);
+    // (completed TBs, engine epoch) at the last stage-handoff scan that
+    // found nothing (see step 2 of the hook); no scan has run yet.
+    std::uint64_t idle_completed = ~std::uint64_t{0};
+    std::uint64_t idle_epoch = 0;
 
     // Assemble the segment start. Outside paged mode one pass always
     // enqueues something; with paging the pass can come up empty (every
@@ -1054,7 +1078,7 @@ BatchStats DecodePass::run_continuous(bool verbose) const {
     // the next event - a refetch completion or an arrival - and retries.
     std::size_t started = 0;
     for (;;) {
-      notice_arrivals(base);
+      eng.notice_arrivals(base);
       // Drain-boundary eviction sweep (paged mode): a carried-over running
       // request yields its stage boundary - and its cold blocks' budget
       // bytes - to much-shorter pressure before re-enqueueing. This is
@@ -1077,7 +1101,7 @@ BatchStats DecodePass::run_continuous(bool verbose) const {
         // is empty: idle until the next arrival, keeping the dead cycles
         // on the stream clock.
         base = eng.hop_target(base, "idle machine");
-        notice_arrivals(base);
+        eng.notice_arrivals(base);
         selected = eng.select();
       }
 
@@ -1148,7 +1172,7 @@ BatchStats DecodePass::run_continuous(bool verbose) const {
       };
       // 1) Arrivals enter the serving queue mid-flight; the policy admits
       // whoever fits into the live machine (all of them under kNone).
-      if (notice_arrivals(global)) admit_sweep();
+      if (eng.notice_arrivals(global)) admit_sweep();
       if (!touched.empty()) commit_and_refresh(touched);
       // 1.5) Requests whose refetch transfer just completed (paged resumes,
       // or first admissions that refetched a peer-released shared block)
@@ -1176,7 +1200,16 @@ BatchStats DecodePass::run_continuous(bool verbose) const {
       // much-shorter co-running request: it re-enters the serving queue
       // with its KV (and budget share) intact. A refetching request has no
       // operator in flight, so it never takes this path.
-      if (eng.num_live() < 2) {
+      //
+      // A request is due when its completed TB count reached its committed
+      // count. Those inputs move only when the scheduler completes a TB or
+      // the engine changes a state or advances a cursor (every seg_enq
+      // update follows one of those), so while (completed, epoch) still
+      // equals its value at a scan that found nothing, a rescan would find
+      // nothing too and is skipped.
+      const std::uint64_t completed = s.scheduler().completed();
+      if (eng.num_live() < 2 ||
+          (completed == idle_completed && eng.epoch() == idle_epoch)) {
         publish_hint();
         return;
       }
@@ -1189,9 +1222,11 @@ BatchStats DecodePass::run_continuous(bool verbose) const {
       };
       touched.clear();
       bool freed = false;
+      bool due = false;
       for (std::size_t i = 0; i < reqs.size(); ++i) {
         if (eng.state(i) != ReqState::kRunning) continue;
         if (seg_enq[i] == 0 || seg_completed(i) != seg_enq[i]) continue;
+        due = true;
         // The op at cursor-1 just completed. If it closes a decode step,
         // stamp the step-finish landmark (the TBT clock) now, BEFORE the
         // advance/preempt/finish decision: a preempted request's completed
@@ -1219,6 +1254,10 @@ BatchStats DecodePass::run_continuous(bool verbose) const {
           src.retire_request(reqs[i].id);
           freed = true;
         }
+      }
+      if (!due) {
+        idle_completed = completed;
+        idle_epoch = eng.epoch();
       }
       if (!touched.empty()) commit_and_refresh(touched);
       // 3) A finish freed budget (or a preemption freed the machine):

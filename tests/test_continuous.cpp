@@ -5,6 +5,12 @@
 // batches, and everything is deterministic.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "scenario/fuzz.hpp"
+#include "scenario/invariants.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/system.hpp"
 #include "trace/composite.hpp"
@@ -569,6 +575,142 @@ TEST(ContinuousMode, BarrierModesRejectArrivals) {
   EXPECT_THROW(DecodePass(batch, pc, cfg), std::invalid_argument);
   pc.mode = scenario::ExecutionMode::kContinuous;
   EXPECT_NO_THROW(DecodePass(batch, pc, cfg));
+}
+
+// ---------------------------------------------------------------------------
+// Admission-hook edge cases. The hook notices arrivals through an
+// arrival-sorted cursor and skips its stage-handoff scan while neither the
+// scheduler's completion count nor the engine's epoch moved. Each case
+// drives a situation where those shortcuts apply and pins the whole run's
+// digest as the hook that rescanned every request on every cycle produced
+// it.
+// ---------------------------------------------------------------------------
+
+// tiny_model: H=2, D=128, fp16 -> 512 bytes per resident KV token per layer.
+constexpr std::uint64_t kTinyBytesPerToken = 2ull * 128 * 2;
+
+/// 64-bit FNV-1a of a run's canonical digest: one literal pins every stat,
+/// landmark, counter and segment of the run.
+std::uint64_t fingerprint(const std::string& digest) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : digest) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// One continuous pass with the in-engine ledger auditor on, checked
+/// against the post-run contract.
+BatchStats run_audited(const std::vector<RequestSpec>& requests,
+                       DecodePassConfig pc) {
+  pc.mode = scenario::ExecutionMode::kContinuous;
+  pc.audit = true;
+  const RequestBatch batch(tiny_model(), requests);
+  BatchStats stats = DecodePass(batch, pc, small_config()).run();
+  const scenario::AuditReport report = scenario::audit_batch(batch, pc, stats);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  return stats;
+}
+
+void expect_fingerprint(const BatchStats& stats, std::uint64_t pinned) {
+  const std::string digest = scenario::batch_stats_digest(stats);
+  EXPECT_EQ(fingerprint(digest), pinned) << digest;
+}
+
+// Arrivals out of index order with ties: the cursor walks them in arrival
+// order, FCFS breaks the ties by index, and the budget queues the rest.
+TEST(ContinuousHook, OutOfOrderTiedArrivals) {
+  DecodePassConfig pc;
+  pc.num_layers = 1;
+  pc.include_gemv = false;
+  pc.serving.policy = scenario::AdmitPolicy::kFcfs;
+  pc.serving.kv_budget_bytes = 450 * kTinyBytesPerToken;
+  const BatchStats stats = run_audited(
+      {{0, 128, 5000, 1}, {1, 256, 0, 2}, {2, 64, 5000, 1}, {3, 128, 0, 1}},
+      pc);
+  EXPECT_EQ(stats.per_request[1].admit_cycle, 0u);
+  EXPECT_EQ(stats.per_request[3].admit_cycle, 0u);
+  expect_fingerprint(stats, 0xc5b9685e36896e44ull);
+}
+
+// A request arrives on the exact cycle the lone running request's operator
+// completes: the arrival turns the drain-boundary handoff into an eager one
+// inside the live segment.
+TEST(ContinuousHook, ArrivalOnLoneOperatorCompletion) {
+  DecodePassConfig pc;
+  pc.num_layers = 1;
+  pc.include_gemv = false;
+  const BatchStats alone = run_audited({{0, 256, 0, 2}}, pc);
+  // The first segment holds only request 0's Logit operator.
+  const Cycle done = alone.per_op[0].stats.per_request[0].last_complete_cycle;
+  ASSERT_GT(done, 0u);
+  const BatchStats stats =
+      run_audited({{0, 256, 0, 2}, {1, 64, done, 1}}, pc);
+  EXPECT_EQ(stats.per_request[1].admit_cycle, done);
+  // Request 0's Attend starts in the live segment instead of a fresh one.
+  EXPECT_EQ(stats.per_op.size(), alone.per_op.size() - 1);
+  expect_fingerprint(stats, 0xa648b5724eee4ea3ull);
+}
+
+// Paged and prefix-shared: request 3's first admission refetches the shared
+// prefix request 0's preemption swapped out, and its transfer lands on the
+// cycle request 4 finishes and request 5 arrives.
+TEST(ContinuousHook, RefetchLandsWithArrivalAndFinish) {
+  DecodePassConfig pc;
+  pc.num_layers = 1;
+  pc.include_gemv = false;
+  pc.serving.policy = scenario::AdmitPolicy::kShortestRemaining;
+  pc.serving.kv_budget_bytes = 600 * kTinyBytesPerToken;
+  pc.serving.preempt = true;
+  pc.serving.kv_evict = KvEvictPolicy::kColdBlocks;
+  pc.serving.kv_block_bytes = 4096;
+  pc.serving.refetch_cost = 2048;
+  pc.serving.kv_share = true;
+  std::vector<RequestSpec> reqs = {{0, 512, 0, 2, 0, 256},
+                                   {1, 128, 1000, 1},
+                                   {2, 64, 3000, 1},
+                                   {3, 512, 20000, 1, 0, 256},
+                                   {4, 64, 100000, 1}};
+  // First run: request 4 runs inside request 3's refetch hold, alone in a
+  // fresh segment, so its service time does not depend on when it arrives.
+  const BatchStats first = run_audited(reqs, pc);
+  const scenario::RequestStats& held = first.per_request[3];
+  ASSERT_EQ(held.preemptions, 0u);
+  ASSERT_GT(held.refetch_cycles, 0u);
+  const Cycle lands = held.admit_cycle + held.refetch_cycles;
+  const scenario::RequestStats& filler = first.per_request[4];
+  ASSERT_EQ(filler.admit_cycle, filler.arrival_cycle);
+  const Cycle service = filler.finish_cycle - filler.arrival_cycle;
+  ASSERT_GT(lands, held.admit_cycle + service);
+
+  // Second run: request 4 finishes, and request 5 arrives, as it lands.
+  reqs[4].arrival_cycle = lands - service;
+  reqs.push_back({5, 64, lands, 1});
+  const BatchStats stats = run_audited(reqs, pc);
+  EXPECT_EQ(stats.per_request[4].finish_cycle, lands);
+  EXPECT_EQ(stats.per_request[3].slice.first_dispatch_cycle,
+            held.slice.first_dispatch_cycle);
+  EXPECT_EQ(stats.per_request[5].admit_cycle, lands);
+  expect_fingerprint(stats, 0x25f57cea8b140ef1ull);
+}
+
+// AdmitPolicy::kNone: every arrival is admitted the cycle it is noticed,
+// including a tie with a request already running.
+TEST(ContinuousHook, UnconditionalStream) {
+  DecodePassConfig pc;
+  pc.num_layers = 2;
+  pc.include_gemv = false;
+  const BatchStats stats = run_audited({{0, 256, 0, 2},
+                                        {1, 64, 1500, 1},
+                                        {2, 128, 1500, 2},
+                                        {3, 64, 9000, 1},
+                                        {4, 128, 600000, 1}},
+                                       pc);
+  for (const scenario::RequestStats& r : stats.per_request) {
+    EXPECT_EQ(r.admit_cycle, r.arrival_cycle);
+  }
+  expect_fingerprint(stats, 0x8f81b57378859901ull);
 }
 
 TEST(RequestBatch, RejectsZeroDecodeSteps) {

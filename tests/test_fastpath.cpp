@@ -8,7 +8,9 @@
 // bit-identical results for any --jobs count.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -27,15 +29,20 @@ using scenario::FuzzResult;
 using scenario::RequestBatch;
 using scenario::RequestSpec;
 
-/// Scoped LLAMCAT_NO_FASTPATH=1: System reads the env var at construction,
-/// so setting it around a DecodePass run disables the fast path in every
-/// System that run creates.
-class ScopedNoFastpath {
+/// Scoped environment knob. System reads LLAMCAT_NO_FASTPATH at
+/// construction and LLAMCAT_FASTPATH_STATS at run(), so setting either
+/// around a DecodePass run applies it to every System that run creates.
+class ScopedEnv {
  public:
-  ScopedNoFastpath() { ::setenv("LLAMCAT_NO_FASTPATH", "1", 1); }
-  ~ScopedNoFastpath() { ::unsetenv("LLAMCAT_NO_FASTPATH"); }
-  ScopedNoFastpath(const ScopedNoFastpath&) = delete;
-  ScopedNoFastpath& operator=(const ScopedNoFastpath&) = delete;
+  explicit ScopedEnv(const char* name) : name_(name) {
+    ::setenv(name_, "1", 1);
+  }
+  ~ScopedEnv() { ::unsetenv(name_); }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
 };
 
 SimConfig small_config() {
@@ -80,7 +87,7 @@ TEST_P(EveryModeFastpath, FastPathOffIsByteIdenticalToOn) {
   const std::string fast = run_digest(GetParam());
   std::string slow;
   {
-    ScopedNoFastpath off;
+    ScopedEnv off("LLAMCAT_NO_FASTPATH");
     slow = run_digest(GetParam());
   }
   EXPECT_EQ(fast, slow);
@@ -91,6 +98,14 @@ const std::vector<RequestSpec> kStreamBatch = {
     {0, 256, 0, 1}, {1, 64, 500, 2}, {2, 128, 0, 1}};
 const std::vector<RequestSpec> kServingBatch = {
     {0, 512, 0, 2}, {1, 128, 1000, 1}, {2, 64, 3000, 1}, {3, 128, 5000, 1}};
+
+void configure_paged(DecodePassConfig& pc) {
+  pc.mode = ExecutionMode::kContinuous;
+  pc.serving.policy = AdmitPolicy::kShortestRemaining;
+  pc.serving.kv_budget_bytes = 544 * kTinyBytesPerToken * 2;
+  pc.serving.preempt = true;
+  pc.serving.kv_evict = KvEvictPolicy::kColdBlocks;
+}
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, EveryModeFastpath,
@@ -114,17 +129,42 @@ INSTANTIATE_TEST_SUITE_P(
                    pc.serving.kv_budget_bytes = 700 * kTinyBytesPerToken * 2;
                    pc.serving.preempt = true;
                  }},
-        ModeCase{"continuous_paged", kServingBatch,
-                 [](DecodePassConfig& pc) {
-                   pc.mode = ExecutionMode::kContinuous;
-                   pc.serving.policy = AdmitPolicy::kShortestRemaining;
-                   pc.serving.kv_budget_bytes = 544 * kTinyBytesPerToken * 2;
-                   pc.serving.preempt = true;
-                   pc.serving.kv_evict = KvEvictPolicy::kColdBlocks;
-                 }}),
+        ModeCase{"continuous_paged", kServingBatch, configure_paged}),
     [](const ::testing::TestParamInfo<ModeCase>& info) {
       return info.param.name;
     });
+
+// The admission hook's wake hints decide which cycles System::run steps one
+// by one and which it skips; perfbench's sim.stepped_frac reads the result
+// from the "[fastpath] cycles=... stepped=..." stderr line. A hooked,
+// paged pass (arrival and refetch landmarks, preemption) pins both totals
+// as the hook that rescanned every request on every cycle produced them,
+// so a change to the hook cannot move a skip window unnoticed.
+TEST(HookedSkipWindows, SteppedCyclesArePinned) {
+  std::string err;
+  {
+    ScopedEnv stats("LLAMCAT_FASTPATH_STATS");
+    ::testing::internal::CaptureStderr();
+    (void)run_digest({"continuous_paged", kServingBatch, configure_paged});
+    err = ::testing::internal::GetCapturedStderr();
+  }
+  unsigned long long cycles = 0, stepped = 0;
+  std::size_t runs = 0;
+  std::istringstream lines(err);
+  for (std::string line; std::getline(lines, line);) {
+    unsigned long long c = 0, s = 0;
+    if (std::sscanf(line.c_str(), "[fastpath] cycles=%llu stepped=%llu", &c,
+                    &s) != 2) {
+      continue;
+    }
+    cycles += c;
+    stepped += s;
+    ++runs;
+  }
+  EXPECT_EQ(runs, 9u);  // one line per segment System
+  EXPECT_EQ(cycles, 488981u);
+  EXPECT_EQ(stepped, 360491u);
+}
 
 // A slice of the pinned fuzz corpus (randomized machine/batch/policy
 // draws): the fast path must reproduce the disabled path byte for byte on
@@ -138,7 +178,7 @@ TEST_P(FuzzCorpusFastpath, FastPathOffIsByteIdenticalToOn) {
   EXPECT_TRUE(fast.ok()) << fast.violations.front();
   FuzzResult slow;
   {
-    ScopedNoFastpath off;
+    ScopedEnv off("LLAMCAT_NO_FASTPATH");
     slow = scenario::run_fuzz_seed(seed);
   }
   EXPECT_TRUE(slow.ok()) << slow.violations.front();
