@@ -14,25 +14,6 @@
 
 using namespace llamcat;
 
-namespace {
-
-ThrottlePolicy parse_throttle(const std::string& s) {
-  if (s == "dyncta") return ThrottlePolicy::kDyncta;
-  if (s == "lcs") return ThrottlePolicy::kLcs;
-  if (s == "dynmg") return ThrottlePolicy::kDynMg;
-  return ThrottlePolicy::kNone;
-}
-
-ArbPolicy parse_arb(const std::string& s) {
-  if (s == "B") return ArbPolicy::kBalanced;
-  if (s == "MA") return ArbPolicy::kMa;
-  if (s == "BMA") return ArbPolicy::kBma;
-  if (s == "cobrra") return ArbPolicy::kCobrra;
-  return ArbPolicy::kFcfs;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const std::string model_s = argc > 1 ? argv[1] : "70b";
   const std::uint64_t seq = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 4096;
@@ -43,7 +24,10 @@ int main(int argc, char** argv) {
 
   SimConfig cfg = SimConfig::table5();
   cfg.llc.size_bytes = cache_mb << 20;
-  cfg = with_policies(cfg, parse_throttle(thr_s), parse_arb(arb_s));
+  // Unknown names fall back to the defaults.
+  cfg = with_policies(
+      cfg, parse_enum<ThrottlePolicy>(thr_s).value_or(ThrottlePolicy::kNone),
+      parse_enum<ArbPolicy>(arb_s).value_or(ArbPolicy::kFcfs));
 
   const ModelShape model =
       model_s == "405b" ? ModelShape::llama3_405b() : ModelShape::llama3_70b();

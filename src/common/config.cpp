@@ -6,117 +6,117 @@
 
 namespace llamcat {
 
-std::string to_string(ArbPolicy p) {
-  switch (p) {
-    case ArbPolicy::kFcfs: return "fcfs";
-    case ArbPolicy::kBalanced: return "B";
-    case ArbPolicy::kMa: return "MA";
-    case ArbPolicy::kBma: return "BMA";
-    case ArbPolicy::kCobrra: return "cobrra";
-    case ArbPolicy::kMrpb: return "mrpb";
-    case ArbPolicy::kOracle: return "oracle";
-    case ArbPolicy::kRandom: return "random";
-  }
-  return "?";
+// Name tables: the first row of each value is its canonical name.
+
+NameTable<ArbPolicy> enum_names(ArbPolicy) {
+  using enum ArbPolicy;
+  static constexpr EnumName<ArbPolicy> kNames[] = {
+      {kFcfs, "fcfs"},
+      {kBalanced, "B"}, {kBalanced, "b"}, {kBalanced, "balanced"},
+      {kMa, "MA"}, {kMa, "ma"},
+      {kBma, "BMA"}, {kBma, "bma"},
+      {kCobrra, "cobrra"}, {kMrpb, "mrpb"}, {kOracle, "oracle"},
+      {kRandom, "random"}};
+  return kNames;
 }
 
-std::string to_string(BypassPolicy p) {
-  switch (p) {
-    case BypassPolicy::kNone: return "none";
-    case BypassPolicy::kAll: return "all";
-    case BypassPolicy::kProbabilistic: return "probabilistic";
-    case BypassPolicy::kReuseHistory: return "reuse-history";
-  }
-  return "?";
+NameTable<BypassPolicy> enum_names(BypassPolicy) {
+  using enum BypassPolicy;
+  static constexpr EnumName<BypassPolicy> kNames[] = {
+      {kNone, "none"}, {kAll, "all"},
+      {kProbabilistic, "probabilistic"}, {kProbabilistic, "prob"},
+      {kReuseHistory, "reuse-history"}, {kReuseHistory, "reuse"}};
+  return kNames;
 }
 
-std::string to_string(ReplPolicy p) {
-  switch (p) {
-    case ReplPolicy::kLru: return "lru";
-    case ReplPolicy::kTreePlru: return "tree-plru";
-    case ReplPolicy::kRandom: return "random";
-    case ReplPolicy::kSrrip: return "srrip";
-    case ReplPolicy::kFifo: return "fifo";
-  }
-  return "?";
+NameTable<ReplPolicy> enum_names(ReplPolicy) {
+  using enum ReplPolicy;
+  static constexpr EnumName<ReplPolicy> kNames[] = {
+      {kLru, "lru"},
+      {kTreePlru, "tree-plru"}, {kTreePlru, "plru"},
+      {kRandom, "random"}, {kSrrip, "srrip"}, {kFifo, "fifo"}};
+  return kNames;
 }
 
-std::string to_string(InsertPolicy p) {
-  switch (p) {
-    case InsertPolicy::kMru: return "mru";
-    case InsertPolicy::kStreaming: return "streaming";
-  }
-  return "?";
+NameTable<InsertPolicy> enum_names(InsertPolicy) {
+  using enum InsertPolicy;
+  static constexpr EnumName<InsertPolicy> kNames[] = {
+      {kMru, "mru"}, {kStreaming, "streaming"}};
+  return kNames;
 }
 
-std::string to_string(RespArbPolicy p) {
-  switch (p) {
-    case RespArbPolicy::kResponseFirst: return "response-first";
-    case RespArbPolicy::kRequestFirst: return "request-first";
-  }
-  return "?";
+NameTable<RespArbPolicy> enum_names(RespArbPolicy) {
+  using enum RespArbPolicy;
+  static constexpr EnumName<RespArbPolicy> kNames[] = {
+      {kResponseFirst, "response-first"}, {kRequestFirst, "request-first"}};
+  return kNames;
 }
 
-std::string to_string(ThrottlePolicy p) {
-  switch (p) {
-    case ThrottlePolicy::kNone: return "unopt";
-    case ThrottlePolicy::kDyncta: return "dyncta";
-    case ThrottlePolicy::kLcs: return "lcs";
-    case ThrottlePolicy::kDynMg: return "dynmg";
-  }
-  return "?";
+NameTable<ThrottlePolicy> enum_names(ThrottlePolicy) {
+  using enum ThrottlePolicy;
+  static constexpr EnumName<ThrottlePolicy> kNames[] = {
+      {kNone, "unopt"}, {kNone, "none"},
+      {kDyncta, "dyncta"}, {kLcs, "lcs"}, {kDynMg, "dynmg"}};
+  return kNames;
 }
 
-std::string to_string(RequestDispatch d) {
-  switch (d) {
-    case RequestDispatch::kShared: return "shared";
-    case RequestDispatch::kInterleave: return "interleave";
-    case RequestDispatch::kPartitioned: return "partitioned";
-  }
-  return "?";
+NameTable<TbDispatch> enum_names(TbDispatch) {
+  using enum TbDispatch;
+  static constexpr EnumName<TbDispatch> kNames[] = {
+      {kStaticBlocked, "static"},
+      {kPartitionedStealing, "wave"},
+      {kGlobalQueue, "global"}};
+  return kNames;
 }
 
-std::string to_string(ExecutionMode m) {
-  switch (m) {
-    case ExecutionMode::kIndependent: return "independent";
-    case ExecutionMode::kCoScheduled: return "coscheduled";
-    case ExecutionMode::kContinuous: return "continuous";
-  }
-  return "?";
+NameTable<RequestDispatch> enum_names(RequestDispatch) {
+  using enum RequestDispatch;
+  static constexpr EnumName<RequestDispatch> kNames[] = {
+      {kShared, "shared"},
+      {kInterleave, "interleave"},
+      {kPartitioned, "partitioned"}};
+  return kNames;
 }
 
-std::string to_string(AdmitPolicy p) {
-  switch (p) {
-    case AdmitPolicy::kNone: return "none";
-    case AdmitPolicy::kFcfs: return "fcfs";
-    case AdmitPolicy::kShortestRemaining: return "srf";
-  }
-  return "?";
+NameTable<ExecutionMode> enum_names(ExecutionMode) {
+  using enum ExecutionMode;
+  static constexpr EnumName<ExecutionMode> kNames[] = {
+      {kIndependent, "independent"},
+      {kCoScheduled, "coscheduled"},
+      {kContinuous, "continuous"}};
+  return kNames;
 }
 
-std::string to_string(KvEvictPolicy p) {
-  switch (p) {
-    case KvEvictPolicy::kNone: return "none";
-    case KvEvictPolicy::kColdBlocks: return "cold-blocks";
-  }
-  return "?";
+NameTable<AdmitPolicy> enum_names(AdmitPolicy) {
+  using enum AdmitPolicy;
+  static constexpr EnumName<AdmitPolicy> kNames[] = {
+      {kNone, "none"}, {kFcfs, "fcfs"},
+      {kShortestRemaining, "srf"}, {kShortestRemaining, "shortest"},
+      {kShortestRemaining, "shortest-remaining"}};
+  return kNames;
 }
 
-std::string to_string(TrafficProcess p) {
-  switch (p) {
-    case TrafficProcess::kPoisson: return "poisson";
-    case TrafficProcess::kBursty: return "bursty";
-    case TrafficProcess::kDiurnal: return "diurnal";
-  }
-  return "?";
+NameTable<KvEvictPolicy> enum_names(KvEvictPolicy) {
+  using enum KvEvictPolicy;
+  static constexpr EnumName<KvEvictPolicy> kNames[] = {
+      {kNone, "none"},
+      {kColdBlocks, "cold-blocks"}, {kColdBlocks, "cold"}};
+  return kNames;
 }
 
-std::string to_string(TrafficDist d) {
-  switch (d) {
-    case TrafficDist::kUniform: return "uniform";
-    case TrafficDist::kLognormal: return "lognormal";
-  }
-  return "?";
+NameTable<TrafficProcess> enum_names(TrafficProcess) {
+  using enum TrafficProcess;
+  static constexpr EnumName<TrafficProcess> kNames[] = {
+      {kPoisson, "poisson"}, {kBursty, "bursty"}, {kDiurnal, "diurnal"}};
+  return kNames;
+}
+
+NameTable<TrafficDist> enum_names(TrafficDist) {
+  using enum TrafficDist;
+  static constexpr EnumName<TrafficDist> kNames[] = {
+      {kUniform, "uniform"}, {kUniform, "U"},
+      {kLognormal, "lognormal"}, {kLognormal, "LN"}};
+  return kNames;
 }
 
 SimConfig SimConfig::table5() {
@@ -150,7 +150,8 @@ void BypassConfig::validate() const {
   auto fail = [](const std::string& msg) {
     throw std::invalid_argument("BypassConfig: " + msg);
   };
-  if (keep_probability < 0.0 || keep_probability > 1.0)
+  // Written so that NaN fails it too.
+  if (!(0.0 <= keep_probability && keep_probability <= 1.0))
     fail("keep_probability outside [0, 1]");
   if (policy == BypassPolicy::kReuseHistory && table_entries == 0)
     fail("table_entries == 0");
@@ -165,6 +166,7 @@ void LlcConfig::validate() const {
   };
   if (!is_pow2(num_slices)) fail("num_slices must be a power of two");
   const std::uint64_t sets = size_bytes / (assoc * kLineBytes);
+  if (sets == 0) fail("LLC has zero sets");
   if (sets % num_slices != 0) fail("LLC sets not divisible by slices");
   if (mshr_entries == 0 || mshr_targets == 0) fail("MSHR dims == 0");
   if (req_q_size == 0 || resp_q_size == 0) fail("LLC queue size == 0");

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/enum_names.hpp"
 #include "common/types.hpp"
 
 namespace llamcat {
@@ -112,9 +113,7 @@ enum class RequestDispatch : std::uint8_t {
 /// or one long-lived streaming System per decode pass in which each request
 /// flows into its next operator the moment its own previous one completes
 /// and new requests are admitted mid-pass by arrival cycle (kContinuous,
-/// vLLM-style iteration-level batching). Lives in the shared vocabulary
-/// header so the CLI option layer does not depend upward on the scenario
-/// layer.
+/// vLLM-style iteration-level batching).
 enum class ExecutionMode : std::uint8_t {
   kIndependent,
   kCoScheduled,
@@ -126,9 +125,7 @@ enum class ExecutionMode : std::uint8_t {
 /// moment its clock strikes (the raw streaming engine); the queueing
 /// disciplines hold arrivals in a serving queue while the resident KV
 /// footprint exceeds the configured budget and decide who is admitted first
-/// when capacity frees. Lives in the shared vocabulary header for the same
-/// layering reason as ExecutionMode (the CLI option layer must not depend
-/// upward on the scenario layer).
+/// when capacity frees.
 enum class AdmitPolicy : std::uint8_t {
   kNone,               // unconditional admission (no queue, no budget)
   kFcfs,               // queue drained in arrival order (head-of-line blocks)
@@ -142,9 +139,6 @@ enum class AdmitPolicy : std::uint8_t {
 /// the preempted request's cold KV blocks out to a modeled DRAM/host tier,
 /// freeing their budget bytes immediately; resume charges a refetch cost
 /// before the request re-enters its next stage (vLLM/LMCache-style paging).
-/// Lives in the shared vocabulary header for the same layering reason as
-/// AdmitPolicy (the CLI option layer must not depend upward on the
-/// scenario layer).
 enum class KvEvictPolicy : std::uint8_t {
   kNone,        // preempted KV stays resident (exact stage-boundary resume)
   kColdBlocks,  // swap cold blocks to the host tier, refetch at resume
@@ -154,9 +148,7 @@ enum class KvEvictPolicy : std::uint8_t {
 /// (scenario/traffic.hpp). kPoisson draws i.i.d. exponential inter-arrival
 /// gaps; kBursty alternates dense on-phases with long off-gaps (on-off /
 /// MMPP-flavored); kDiurnal modulates the Poisson rate with a
-/// piecewise-linear day-cycle multiplier. Lives in the shared vocabulary
-/// header for the same layering reason as AdmitPolicy (the CLI option
-/// layer must not depend upward on the scenario layer).
+/// piecewise-linear day-cycle multiplier.
 enum class TrafficProcess : std::uint8_t {
   kPoisson,
   kBursty,
@@ -181,18 +173,20 @@ enum class ThrottlePolicy : std::uint8_t {
   kDynMg,   // ours: two-level dynamic multi-gear throttling
 };
 
-std::string to_string(ArbPolicy p);
-std::string to_string(RespArbPolicy p);
-std::string to_string(ThrottlePolicy p);
-std::string to_string(RequestDispatch d);
-std::string to_string(ExecutionMode m);
-std::string to_string(AdmitPolicy p);
-std::string to_string(KvEvictPolicy p);
-std::string to_string(TrafficProcess p);
-std::string to_string(TrafficDist d);
-std::string to_string(BypassPolicy p);
-std::string to_string(ReplPolicy p);
-std::string to_string(InsertPolicy p);
+// Name tables (common/enum_names.hpp): canonical name first, then aliases.
+NameTable<ArbPolicy> enum_names(ArbPolicy);
+NameTable<RespArbPolicy> enum_names(RespArbPolicy);
+NameTable<ThrottlePolicy> enum_names(ThrottlePolicy);
+NameTable<TbDispatch> enum_names(TbDispatch);
+NameTable<RequestDispatch> enum_names(RequestDispatch);
+NameTable<ExecutionMode> enum_names(ExecutionMode);
+NameTable<AdmitPolicy> enum_names(AdmitPolicy);
+NameTable<KvEvictPolicy> enum_names(KvEvictPolicy);
+NameTable<TrafficProcess> enum_names(TrafficProcess);
+NameTable<TrafficDist> enum_names(TrafficDist);
+NameTable<BypassPolicy> enum_names(BypassPolicy);
+NameTable<ReplPolicy> enum_names(ReplPolicy);
+NameTable<InsertPolicy> enum_names(InsertPolicy);
 
 // ---------------------------------------------------------------------------
 // Per-subsystem configuration blocks.

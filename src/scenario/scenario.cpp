@@ -21,13 +21,12 @@
 
 namespace llamcat::scenario {
 
-std::string to_string(StageKind k) {
-  switch (k) {
-    case StageKind::kLogit: return "logit";
-    case StageKind::kAttend: return "attend";
-    case StageKind::kGemv: return "gemv";
-  }
-  return "?";
+NameTable<StageKind> enum_names(StageKind) {
+  static constexpr EnumName<StageKind> kNames[] = {
+      {StageKind::kLogit, "logit"},
+      {StageKind::kAttend, "attend"},
+      {StageKind::kGemv, "gemv"}};
+  return kNames;
 }
 
 
@@ -588,16 +587,13 @@ enum class ReqState : std::uint8_t {
 constexpr std::size_t kNumReqStates =
     static_cast<std::size_t>(ReqState::kFinished) + 1;
 
-const char* to_string(ReqState s) {
-  switch (s) {
-    case ReqState::kPending: return "pending";
-    case ReqState::kWaiting: return "waiting";
-    case ReqState::kRefetching: return "refetching";
-    case ReqState::kRunning: return "running";
-    case ReqState::kPreempted: return "preempted";
-    case ReqState::kFinished: return "finished";
-  }
-  return "?";
+NameTable<ReqState> enum_names(ReqState) {
+  using enum ReqState;
+  static constexpr EnumName<ReqState> kNames[] = {
+      {kPending, "pending"}, {kWaiting, "waiting"},
+      {kRefetching, "refetching"}, {kRunning, "running"},
+      {kPreempted, "preempted"}, {kFinished, "finished"}};
+  return kNames;
 }
 
 /// Serving state machine and KV ledger of one continuous pass. It owns each

@@ -134,7 +134,7 @@ class RequestBatch {
 /// §6.3.3); kLogit/kAttend are the paper's attention operators.
 enum class StageKind : std::uint8_t { kLogit, kAttend, kGemv };
 
-std::string to_string(StageKind k);
+NameTable<StageKind> enum_names(StageKind);
 
 /// How the pass executes the batch (see the header comment); defined in
 /// common/config.hpp, re-exported here as the scenario vocabulary.

@@ -46,8 +46,8 @@
 
 namespace llamcat::scenario {
 
-/// Re-exported as the scenario vocabulary (defined in common/config.hpp so
-/// the CLI option layer can parse it without depending on this layer).
+/// Re-exported as the scenario vocabulary (defined in common/config.hpp
+/// with the other shared enums and their name tables).
 using llamcat::AdmitPolicy;
 
 /// Knobs of the serving-policy layer. The default configuration

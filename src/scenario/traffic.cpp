@@ -1,6 +1,7 @@
 #include "scenario/traffic.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -66,7 +67,7 @@ void TrafficConfig::validate() const {
     if (burst_gap_div == 0) fail("burst_gap_div == 0");
   }
   if (process == TrafficProcess::kDiurnal) {
-    if (diurnal_amplitude < 0.0 || diurnal_amplitude >= 1.0)
+    if (!(0.0 <= diurnal_amplitude && diurnal_amplitude < 1.0))
       fail("diurnal_amplitude outside [0, 1)");
   }
   if (seq_min == 0) fail("seq_min == 0");
@@ -74,12 +75,16 @@ void TrafficConfig::validate() const {
   if (seq_granule == 0) fail("seq_granule == 0");
   if (seq_min % seq_granule != 0 || seq_max % seq_granule != 0)
     fail("seq_min/seq_max not multiples of seq_granule");
-  if (seq_dist == TrafficDist::kLognormal && seq_sigma <= 0.0)
+  // Every sampler reads seq_sigma; a NaN or infinite one would reach an
+  // undefined double -> integer conversion.
+  if (!std::isfinite(seq_sigma)) fail("seq_sigma is not finite");
+  if (seq_dist == TrafficDist::kLognormal && !(seq_sigma > 0.0))
     fail("seq_sigma <= 0 with lognormal seq_dist");
   if (steps_min == 0) fail("steps_min == 0");
   if (steps_min > steps_max) fail("steps_min > steps_max");
   if (prefix_groups > 0) {
-    if (zipf_s < 0.0) fail("zipf_s < 0");
+    if (!(zipf_s >= 0.0 && std::isfinite(zipf_s)))
+      fail("zipf_s negative or not finite");
     if (share_pct > 100) fail("share_pct > 100");
     if (share_pct == 0) fail("share_pct == 0 with prefix_groups set");
   }

@@ -36,8 +36,8 @@
 
 namespace llamcat::scenario {
 
-/// Re-exported as the scenario vocabulary (defined in common/config.hpp so
-/// the CLI option layer can parse them without depending on this layer).
+/// Re-exported as the scenario vocabulary (defined in common/config.hpp
+/// with the other shared enums and their name tables).
 using llamcat::TrafficDist;
 using llamcat::TrafficProcess;
 

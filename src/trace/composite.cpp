@@ -14,12 +14,11 @@ OperatorSpec shift_to_slot(OperatorSpec spec, std::uint64_t slot) {
   return spec;
 }
 
-std::string to_string(FuseOrder o) {
-  switch (o) {
-    case FuseOrder::kRoundRobin: return "round-robin";
-    case FuseOrder::kConcat: return "concat";
-  }
-  return "?";
+NameTable<FuseOrder> enum_names(FuseOrder) {
+  static constexpr EnumName<FuseOrder> kNames[] = {
+      {FuseOrder::kRoundRobin, "round-robin"}, {FuseOrder::kRoundRobin, "rr"},
+      {FuseOrder::kConcat, "concat"}};
+  return kNames;
 }
 
 void claim_operator_slots(

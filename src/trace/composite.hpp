@@ -12,6 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "common/types.hpp"
 #include "trace/mapping.hpp"
 #include "trace/operator.hpp"
@@ -45,7 +46,8 @@ enum class FuseOrder : std::uint8_t {
   kConcat,      // operator-major: requests drain mostly back-to-back
 };
 
-std::string to_string(FuseOrder o);
+/// Name table (common/enum_names.hpp): canonical name first, then aliases.
+NameTable<FuseOrder> enum_names(FuseOrder);
 
 /// ITbSource over the union of N single-operator TraceGens, with per-TB
 /// request/operator provenance and address-based request attribution.

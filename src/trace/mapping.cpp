@@ -6,13 +6,10 @@
 
 namespace llamcat {
 
-std::string to_string(TbOrder o) {
-  switch (o) {
-    case TbOrder::kHLG: return "HLG";
-    case TbOrder::kHGL: return "HGL";
-    case TbOrder::kLHG: return "LHG";
-  }
-  return "?";
+NameTable<TbOrder> enum_names(TbOrder) {
+  static constexpr EnumName<TbOrder> kNames[] = {
+      {TbOrder::kHLG, "HLG"}, {TbOrder::kHGL, "HGL"}, {TbOrder::kLHG, "LHG"}};
+  return kNames;
 }
 
 std::uint32_t Mapping::tb_out_lines(const OperatorSpec& spec) const {

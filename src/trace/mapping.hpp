@@ -23,7 +23,7 @@ enum class TbOrder : std::uint8_t {
   kLHG,  // for l_tile { for h { for g } } } - tile-major
 };
 
-std::string to_string(TbOrder o);
+NameTable<TbOrder> enum_names(TbOrder);
 
 /// One thread block: a contiguous L-range of one (h, g) pair.
 ///

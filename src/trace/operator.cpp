@@ -30,12 +30,10 @@ ModelShape ModelShape::gemv(std::uint32_t cols) {
   return ModelShape{"gemv", 1, 1, cols, 2};
 }
 
-std::string to_string(OpKind k) {
-  switch (k) {
-    case OpKind::kLogit: return "logit";
-    case OpKind::kAttend: return "attend";
-  }
-  return "?";
+NameTable<OpKind> enum_names(OpKind) {
+  static constexpr EnumName<OpKind> kNames[] = {{OpKind::kLogit, "logit"},
+                                                {OpKind::kAttend, "attend"}};
+  return kNames;
 }
 
 OperatorSpec OperatorSpec::logit(const ModelShape& m, std::uint64_t seq_len) {

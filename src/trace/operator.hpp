@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/enum_names.hpp"
 #include "common/types.hpp"
 
 namespace llamcat {
@@ -41,7 +42,7 @@ enum class OpKind : std::uint8_t {
   kAttend,  // O[h,g,d] = sum_l S[h,g,l] * V[h,l,d]
 };
 
-std::string to_string(OpKind k);
+NameTable<OpKind> enum_names(OpKind);
 
 /// A fully-specified operator instance: shape + sequence length + the
 /// simulated address layout of its tensors.

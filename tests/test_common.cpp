@@ -2,6 +2,7 @@
 // thread pool, config validation).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -177,12 +178,64 @@ TEST(Config, ValidationCatchesBadGeometry) {
   cfg = SimConfig::table5();
   cfg.throttle.tcs_low = cfg.throttle.tcs_normal + 0.01;  // not increasing
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  // A zero-set LLC divides evenly into any slice count but cannot hold a
+  // line.
+  cfg = SimConfig::table5();
+  cfg.llc.size_bytes = 0;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.llc.size_bytes = cfg.llc.assoc * kLineBytes - 1;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  // NaN fails the range check instead of slipping past both comparisons.
+  for (const double p : {std::numeric_limits<double>::quiet_NaN(), -0.1, 1.1}) {
+    cfg = SimConfig::table5();
+    cfg.llc.bypass.keep_probability = p;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument) << p;
+  }
 }
 
 TEST(Config, PolicyNames) {
   EXPECT_EQ(to_string(ArbPolicy::kBma), "BMA");
   EXPECT_EQ(to_string(ThrottlePolicy::kDynMg), "dynmg");
   EXPECT_EQ(to_string(RespArbPolicy::kResponseFirst), "response-first");
+  // Every canonical name: reports, digests and golden rows print them.
+  EXPECT_EQ(to_string(ArbPolicy::kFcfs), "fcfs");
+  EXPECT_EQ(to_string(ArbPolicy::kBalanced), "B");
+  EXPECT_EQ(to_string(ArbPolicy::kMa), "MA");
+  EXPECT_EQ(to_string(ArbPolicy::kCobrra), "cobrra");
+  EXPECT_EQ(to_string(ArbPolicy::kMrpb), "mrpb");
+  EXPECT_EQ(to_string(ArbPolicy::kOracle), "oracle");
+  EXPECT_EQ(to_string(ArbPolicy::kRandom), "random");
+  EXPECT_EQ(to_string(BypassPolicy::kNone), "none");
+  EXPECT_EQ(to_string(BypassPolicy::kAll), "all");
+  EXPECT_EQ(to_string(BypassPolicy::kProbabilistic), "probabilistic");
+  EXPECT_EQ(to_string(BypassPolicy::kReuseHistory), "reuse-history");
+  EXPECT_EQ(to_string(ReplPolicy::kLru), "lru");
+  EXPECT_EQ(to_string(ReplPolicy::kTreePlru), "tree-plru");
+  EXPECT_EQ(to_string(ReplPolicy::kRandom), "random");
+  EXPECT_EQ(to_string(ReplPolicy::kSrrip), "srrip");
+  EXPECT_EQ(to_string(ReplPolicy::kFifo), "fifo");
+  EXPECT_EQ(to_string(InsertPolicy::kMru), "mru");
+  EXPECT_EQ(to_string(InsertPolicy::kStreaming), "streaming");
+  EXPECT_EQ(to_string(RespArbPolicy::kRequestFirst), "request-first");
+  EXPECT_EQ(to_string(ThrottlePolicy::kNone), "unopt");
+  EXPECT_EQ(to_string(ThrottlePolicy::kDyncta), "dyncta");
+  EXPECT_EQ(to_string(ThrottlePolicy::kLcs), "lcs");
+  EXPECT_EQ(to_string(RequestDispatch::kShared), "shared");
+  EXPECT_EQ(to_string(RequestDispatch::kInterleave), "interleave");
+  EXPECT_EQ(to_string(RequestDispatch::kPartitioned), "partitioned");
+  EXPECT_EQ(to_string(ExecutionMode::kIndependent), "independent");
+  EXPECT_EQ(to_string(ExecutionMode::kCoScheduled), "coscheduled");
+  EXPECT_EQ(to_string(ExecutionMode::kContinuous), "continuous");
+  EXPECT_EQ(to_string(AdmitPolicy::kNone), "none");
+  EXPECT_EQ(to_string(AdmitPolicy::kFcfs), "fcfs");
+  EXPECT_EQ(to_string(AdmitPolicy::kShortestRemaining), "srf");
+  EXPECT_EQ(to_string(KvEvictPolicy::kNone), "none");
+  EXPECT_EQ(to_string(KvEvictPolicy::kColdBlocks), "cold-blocks");
+  EXPECT_EQ(to_string(TrafficProcess::kPoisson), "poisson");
+  EXPECT_EQ(to_string(TrafficProcess::kBursty), "bursty");
+  EXPECT_EQ(to_string(TrafficProcess::kDiurnal), "diurnal");
+  EXPECT_EQ(to_string(TrafficDist::kUniform), "uniform");
+  EXPECT_EQ(to_string(TrafficDist::kLognormal), "lognormal");
 }
 
 TEST(Types, LineHelpers) {

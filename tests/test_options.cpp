@@ -2,7 +2,12 @@
 // full command lines, override plumbing into SimConfig, and diagnostics.
 #include <gtest/gtest.h>
 
-#include "sim/options.hpp"
+#include <algorithm>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
+#include "cli/options.hpp"
 
 namespace llamcat {
 namespace {
@@ -14,41 +19,64 @@ ParseResult parse(std::initializer_list<std::string_view> args) {
 // ------------------------------------------------------------ vocabulary --
 
 TEST(OptionVocabulary, ArbPolicies) {
-  EXPECT_EQ(arb_policy_from_string("fcfs"), ArbPolicy::kFcfs);
-  EXPECT_EQ(arb_policy_from_string("B"), ArbPolicy::kBalanced);
-  EXPECT_EQ(arb_policy_from_string("balanced"), ArbPolicy::kBalanced);
-  EXPECT_EQ(arb_policy_from_string("MA"), ArbPolicy::kMa);
-  EXPECT_EQ(arb_policy_from_string("BMA"), ArbPolicy::kBma);
-  EXPECT_EQ(arb_policy_from_string("bma"), ArbPolicy::kBma);
-  EXPECT_EQ(arb_policy_from_string("cobrra"), ArbPolicy::kCobrra);
-  EXPECT_EQ(arb_policy_from_string("mrpb"), ArbPolicy::kMrpb);
-  EXPECT_EQ(arb_policy_from_string("oracle"), ArbPolicy::kOracle);
-  EXPECT_EQ(arb_policy_from_string("random"), ArbPolicy::kRandom);
-  EXPECT_FALSE(arb_policy_from_string("nope").has_value());
+  EXPECT_EQ(parse_enum<ArbPolicy>("fcfs"), ArbPolicy::kFcfs);
+  EXPECT_EQ(parse_enum<ArbPolicy>("B"), ArbPolicy::kBalanced);
+  EXPECT_EQ(parse_enum<ArbPolicy>("balanced"), ArbPolicy::kBalanced);
+  EXPECT_EQ(parse_enum<ArbPolicy>("MA"), ArbPolicy::kMa);
+  EXPECT_EQ(parse_enum<ArbPolicy>("BMA"), ArbPolicy::kBma);
+  EXPECT_EQ(parse_enum<ArbPolicy>("bma"), ArbPolicy::kBma);
+  EXPECT_EQ(parse_enum<ArbPolicy>("cobrra"), ArbPolicy::kCobrra);
+  EXPECT_EQ(parse_enum<ArbPolicy>("mrpb"), ArbPolicy::kMrpb);
+  EXPECT_EQ(parse_enum<ArbPolicy>("oracle"), ArbPolicy::kOracle);
+  EXPECT_EQ(parse_enum<ArbPolicy>("random"), ArbPolicy::kRandom);
+  EXPECT_FALSE(parse_enum<ArbPolicy>("nope").has_value());
 }
 
 TEST(OptionVocabulary, ThrottlePolicies) {
-  EXPECT_EQ(throttle_policy_from_string("unopt"), ThrottlePolicy::kNone);
-  EXPECT_EQ(throttle_policy_from_string("none"), ThrottlePolicy::kNone);
-  EXPECT_EQ(throttle_policy_from_string("dyncta"), ThrottlePolicy::kDyncta);
-  EXPECT_EQ(throttle_policy_from_string("lcs"), ThrottlePolicy::kLcs);
-  EXPECT_EQ(throttle_policy_from_string("dynmg"), ThrottlePolicy::kDynMg);
-  EXPECT_FALSE(throttle_policy_from_string("DYNMG").has_value());
+  EXPECT_EQ(parse_enum<ThrottlePolicy>("unopt"), ThrottlePolicy::kNone);
+  EXPECT_EQ(parse_enum<ThrottlePolicy>("none"), ThrottlePolicy::kNone);
+  EXPECT_EQ(parse_enum<ThrottlePolicy>("dyncta"), ThrottlePolicy::kDyncta);
+  EXPECT_EQ(parse_enum<ThrottlePolicy>("lcs"), ThrottlePolicy::kLcs);
+  EXPECT_EQ(parse_enum<ThrottlePolicy>("dynmg"), ThrottlePolicy::kDynMg);
+  EXPECT_FALSE(parse_enum<ThrottlePolicy>("DYNMG").has_value());
 }
 
 TEST(OptionVocabulary, EnumsRoundTripWithToString) {
   for (ArbPolicy p : {ArbPolicy::kFcfs, ArbPolicy::kCobrra, ArbPolicy::kMrpb,
                       ArbPolicy::kOracle, ArbPolicy::kRandom}) {
-    EXPECT_EQ(arb_policy_from_string(to_string(p)), p) << to_string(p);
+    EXPECT_EQ(parse_enum<ArbPolicy>(to_string(p)), p) << to_string(p);
   }
   for (ReplPolicy p : {ReplPolicy::kLru, ReplPolicy::kRandom,
                        ReplPolicy::kSrrip, ReplPolicy::kFifo}) {
-    EXPECT_EQ(repl_policy_from_string(to_string(p)), p) << to_string(p);
+    EXPECT_EQ(parse_enum<ReplPolicy>(to_string(p)), p) << to_string(p);
   }
   for (RespArbPolicy p :
        {RespArbPolicy::kResponseFirst, RespArbPolicy::kRequestFirst}) {
-    EXPECT_EQ(resp_arb_from_string(to_string(p)), p);
+    EXPECT_EQ(parse_enum<RespArbPolicy>(to_string(p)), p);
   }
+  // Every name in every table parses to its value, and so does each
+  // value's canonical name.
+  const auto round_trips = [](auto table) {
+    for (const auto& row : table) {
+      using E = std::remove_cvref_t<decltype(row.value)>;
+      EXPECT_EQ(parse_enum<E>(to_string(row.value)), row.value) << row.name;
+      EXPECT_EQ(parse_enum<E>(row.name), row.value) << row.name;
+    }
+  };
+  round_trips(enum_names(ArbPolicy{}));
+  round_trips(enum_names(RespArbPolicy{}));
+  round_trips(enum_names(ThrottlePolicy{}));
+  round_trips(enum_names(TbDispatch{}));
+  round_trips(enum_names(RequestDispatch{}));
+  round_trips(enum_names(ExecutionMode{}));
+  round_trips(enum_names(AdmitPolicy{}));
+  round_trips(enum_names(KvEvictPolicy{}));
+  round_trips(enum_names(TrafficProcess{}));
+  round_trips(enum_names(TrafficDist{}));
+  round_trips(enum_names(BypassPolicy{}));
+  round_trips(enum_names(ReplPolicy{}));
+  round_trips(enum_names(InsertPolicy{}));
+  round_trips(enum_names(FuseOrder{}));
 }
 
 TEST(OptionVocabulary, Models) {
@@ -116,6 +144,18 @@ TEST(ParseCli, CobrraImpliesRequestFirstArbitration) {
   const ParseResult r = parse({"--policy=unopt+cobrra"});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.options->cfg.llc.resp_arb, RespArbPolicy::kRequestFirst);
+  // An explicit --resp-arb wins in either order.
+  for (const auto& args :
+       {std::vector<std::string_view>{"--resp-arb=response-first",
+                                      "--policy=unopt+cobrra"},
+        std::vector<std::string_view>{"--policy=unopt+cobrra",
+                                      "--resp-arb=response-first"}}) {
+    const ParseResult both = parse_cli_options(args);
+    ASSERT_TRUE(both.ok()) << both.error;
+    EXPECT_EQ(both.options->cfg.arb.policy, ArbPolicy::kCobrra);
+    EXPECT_EQ(both.options->cfg.llc.resp_arb, RespArbPolicy::kResponseFirst)
+        << args[0];
+  }
 }
 
 TEST(ParseCli, MachineOverrides) {
@@ -167,21 +207,21 @@ TEST(ParseCli, BatchFlagsParse) {
   ASSERT_TRUE(r.ok()) << r.error;
   EXPECT_EQ(r.options->op, "batch");
   EXPECT_EQ(r.options->batch_requests, 4u);
-  EXPECT_EQ(r.options->batch_layers, 3u);
+  EXPECT_EQ(r.options->pass.num_layers, 3u);
   EXPECT_EQ(r.options->batch_seq_lens,
             (std::vector<std::uint64_t>{256, 512, 1024}));
-  EXPECT_FALSE(r.options->batch_gemv);
+  EXPECT_FALSE(r.options->pass.include_gemv);
 }
 
 TEST(ParseCli, BatchDefaults) {
   const ParseResult r = parse({"--op=batch"});
   ASSERT_TRUE(r.ok()) << r.error;
   EXPECT_EQ(r.options->batch_requests, 2u);
-  EXPECT_EQ(r.options->batch_layers, 2u);
+  EXPECT_EQ(r.options->pass.num_layers, 2u);
   EXPECT_TRUE(r.options->batch_seq_lens.empty());
-  EXPECT_TRUE(r.options->batch_gemv);
-  EXPECT_EQ(r.options->batch_mode, ExecutionMode::kIndependent);
-  EXPECT_EQ(r.options->batch_interleave, FuseOrder::kRoundRobin);
+  EXPECT_TRUE(r.options->pass.include_gemv);
+  EXPECT_EQ(r.options->pass.mode, ExecutionMode::kIndependent);
+  EXPECT_EQ(r.options->pass.interleave, FuseOrder::kRoundRobin);
   EXPECT_EQ(r.options->cfg.core.request_dispatch, RequestDispatch::kShared);
 }
 
@@ -190,8 +230,8 @@ TEST(ParseCli, ExecutionModeFlagsParse) {
       parse({"--op=batch", "--mode=coscheduled", "--interleave=concat",
              "--req-dispatch=partitioned"});
   ASSERT_TRUE(r.ok()) << r.error;
-  EXPECT_EQ(r.options->batch_mode, ExecutionMode::kCoScheduled);
-  EXPECT_EQ(r.options->batch_interleave, FuseOrder::kConcat);
+  EXPECT_EQ(r.options->pass.mode, ExecutionMode::kCoScheduled);
+  EXPECT_EQ(r.options->pass.interleave, FuseOrder::kConcat);
   EXPECT_EQ(r.options->cfg.core.request_dispatch,
             RequestDispatch::kPartitioned);
 
@@ -220,7 +260,7 @@ TEST(ParseCli, ContinuousModeFlagsParse) {
       parse({"--op=batch", "--mode=continuous", "--seqs=4096,512,512",
              "--arrivals=0,0,200000", "--steps=2"});
   ASSERT_TRUE(r.ok()) << r.error;
-  EXPECT_EQ(r.options->batch_mode, ExecutionMode::kContinuous);
+  EXPECT_EQ(r.options->pass.mode, ExecutionMode::kContinuous);
   EXPECT_EQ(r.options->batch_arrivals,
             (std::vector<std::uint64_t>{0, 0, 200000}));
   EXPECT_EQ(r.options->batch_steps, (std::vector<std::uint64_t>{2}));
@@ -245,26 +285,26 @@ TEST(ParseCli, ArrivalsRequireContinuousMode) {
 }
 
 TEST(ParseCli, ServingPolicyFlagsParse) {
-  EXPECT_EQ(admit_policy_from_string("none"), AdmitPolicy::kNone);
-  EXPECT_EQ(admit_policy_from_string("fcfs"), AdmitPolicy::kFcfs);
-  EXPECT_EQ(admit_policy_from_string("srf"), AdmitPolicy::kShortestRemaining);
-  EXPECT_EQ(admit_policy_from_string("shortest-remaining"),
+  EXPECT_EQ(parse_enum<AdmitPolicy>("none"), AdmitPolicy::kNone);
+  EXPECT_EQ(parse_enum<AdmitPolicy>("fcfs"), AdmitPolicy::kFcfs);
+  EXPECT_EQ(parse_enum<AdmitPolicy>("srf"), AdmitPolicy::kShortestRemaining);
+  EXPECT_EQ(parse_enum<AdmitPolicy>("shortest-remaining"),
             AdmitPolicy::kShortestRemaining);
-  EXPECT_FALSE(admit_policy_from_string("lifo").has_value());
+  EXPECT_FALSE(parse_enum<AdmitPolicy>("lifo").has_value());
 
   const ParseResult r =
       parse({"--op=batch", "--mode=continuous", "--seqs=4096,512",
              "--admit-policy=srf", "--kv-budget=37748736", "--preempt"});
   ASSERT_TRUE(r.ok()) << r.error;
-  EXPECT_EQ(r.options->batch_admit, AdmitPolicy::kShortestRemaining);
-  EXPECT_EQ(r.options->batch_kv_budget, 37748736u);
-  EXPECT_TRUE(r.options->batch_preempt);
+  EXPECT_EQ(r.options->pass.serving.policy, AdmitPolicy::kShortestRemaining);
+  EXPECT_EQ(r.options->pass.serving.kv_budget_bytes, 37748736u);
+  EXPECT_TRUE(r.options->pass.serving.preempt);
   // Defaults: unconditional admission, unlimited budget, no preemption.
   const ParseResult d = parse({"--op=batch", "--mode=continuous"});
   ASSERT_TRUE(d.ok());
-  EXPECT_EQ(d.options->batch_admit, AdmitPolicy::kNone);
-  EXPECT_EQ(d.options->batch_kv_budget, 0u);
-  EXPECT_FALSE(d.options->batch_preempt);
+  EXPECT_EQ(d.options->pass.serving.policy, AdmitPolicy::kNone);
+  EXPECT_EQ(d.options->pass.serving.kv_budget_bytes, 0u);
+  EXPECT_FALSE(d.options->pass.serving.preempt);
 }
 
 TEST(ParseCli, ServingPolicyFlagsCrossChecked) {
@@ -290,28 +330,28 @@ TEST(ParseCli, ServingPolicyFlagsCrossChecked) {
 }
 
 TEST(ParseCli, PagedEvictionFlagsParse) {
-  EXPECT_EQ(kv_evict_policy_from_string("none"), KvEvictPolicy::kNone);
-  EXPECT_EQ(kv_evict_policy_from_string("cold-blocks"),
+  EXPECT_EQ(parse_enum<KvEvictPolicy>("none"), KvEvictPolicy::kNone);
+  EXPECT_EQ(parse_enum<KvEvictPolicy>("cold-blocks"),
             KvEvictPolicy::kColdBlocks);
-  EXPECT_EQ(kv_evict_policy_from_string("cold"), KvEvictPolicy::kColdBlocks);
-  EXPECT_FALSE(kv_evict_policy_from_string("hot-blocks").has_value());
+  EXPECT_EQ(parse_enum<KvEvictPolicy>("cold"), KvEvictPolicy::kColdBlocks);
+  EXPECT_FALSE(parse_enum<KvEvictPolicy>("hot-blocks").has_value());
 
   const ParseResult r = parse(
       {"--op=batch", "--mode=continuous", "--seqs=4096,512",
        "--admit-policy=srf", "--kv-budget=37748736", "--preempt",
        "--kv-evict=cold-blocks", "--kv-block-bytes=4096", "--refetch-cost=4"});
   ASSERT_TRUE(r.ok()) << r.error;
-  EXPECT_EQ(r.options->batch_kv_evict, KvEvictPolicy::kColdBlocks);
-  EXPECT_EQ(r.options->batch_kv_block_bytes, 4096u);
-  EXPECT_EQ(r.options->batch_refetch_cost, 4u);
+  EXPECT_EQ(r.options->pass.serving.kv_evict, KvEvictPolicy::kColdBlocks);
+  EXPECT_EQ(r.options->pass.serving.kv_block_bytes, 4096u);
+  EXPECT_EQ(r.options->pass.serving.refetch_cost, 4u);
   // Defaults: resident preemption, line-granule blocks, modeled host link.
   const ParseResult d = parse({"--op=batch", "--mode=continuous",
                                "--admit-policy=fcfs", "--kv-budget=1048576",
                                "--preempt"});
   ASSERT_TRUE(d.ok());
-  EXPECT_EQ(d.options->batch_kv_evict, KvEvictPolicy::kNone);
-  EXPECT_EQ(d.options->batch_kv_block_bytes, 0u);
-  EXPECT_EQ(d.options->batch_refetch_cost, 0u);
+  EXPECT_EQ(d.options->pass.serving.kv_evict, KvEvictPolicy::kNone);
+  EXPECT_EQ(d.options->pass.serving.kv_block_bytes, 0u);
+  EXPECT_EQ(d.options->pass.serving.refetch_cost, 0u);
 }
 
 TEST(ParseCli, PagedEvictionFlagsCrossChecked) {
@@ -350,7 +390,7 @@ TEST(ParseCli, KvShareFlagsParse) {
       {"--op=batch", "--mode=continuous", "--seqs=512,512,256",
        "--kv-share=on", "--prefix-groups=0,0,1", "--prefix-tokens=128,128,64"});
   ASSERT_TRUE(r.ok()) << r.error;
-  EXPECT_TRUE(r.options->batch_kv_share);
+  EXPECT_TRUE(r.options->pass.serving.kv_share);
   EXPECT_EQ(r.options->batch_prefix_groups,
             (std::vector<std::uint64_t>{0, 0, 1}));
   EXPECT_EQ(r.options->batch_prefix_tokens,
@@ -364,7 +404,7 @@ TEST(ParseCli, KvShareFlagsParse) {
   const ParseResult plain =
       parse({"--op=batch", "--mode=continuous", "--kv-share=on"});
   ASSERT_TRUE(plain.ok()) << plain.error;
-  EXPECT_TRUE(plain.options->batch_kv_share);
+  EXPECT_TRUE(plain.options->pass.serving.kv_share);
   // --kv-block-bytes gains a second consumer: the share granule.
   EXPECT_TRUE(parse({"--op=batch", "--mode=continuous", "--kv-share=on",
                      "--kv-block-bytes=4096"})
@@ -372,7 +412,7 @@ TEST(ParseCli, KvShareFlagsParse) {
   // Default is off.
   const ParseResult off = parse({"--op=batch", "--mode=continuous"});
   ASSERT_TRUE(off.ok());
-  EXPECT_FALSE(off.options->batch_kv_share);
+  EXPECT_FALSE(off.options->pass.serving.kv_share);
 }
 
 TEST(ParseCli, KvShareFlagsCrossChecked) {
@@ -444,10 +484,35 @@ TEST(ParseCli, MalformedNumbersAreErrors) {
   EXPECT_FALSE(parse({"--seq=0"}).ok());
   EXPECT_FALSE(parse({"--cores=x"}).ok());
   EXPECT_FALSE(parse({"--bypass-keep-p=1.5"}).ok());
+  // The LLC byte count must fit 64 bits: 2^44 MiB wraps to 0 bytes and
+  // 2^44 + 1 MiB to 1 MiB.
+  EXPECT_FALSE(parse({"--llc-mb=17592186044416"}).ok());
+  EXPECT_FALSE(parse({"--llc-mb=17592186044417"}).ok());
+  EXPECT_TRUE(parse({"--llc-mb=64"}).ok());
+  // Doubles must be finite: NaN slips through every `x < lo || x > hi`.
+  for (const char* bad : {"nan", "NaN", "inf", "-inf", "infinity", "1e999"}) {
+    const std::string keep = std::string("--bypass-keep-p=") + bad;
+    const std::string zipf = std::string("--traffic-zipf=") + bad;
+    const std::string sigma = std::string("--traffic-sigma=") + bad;
+    EXPECT_FALSE(parse({"--bypass=prob", keep}).ok()) << bad;
+    EXPECT_FALSE(parse({"--op=batch", "--mode=continuous", "--traffic=poisson",
+                        zipf})
+                     .ok())
+        << bad;
+    EXPECT_FALSE(parse({"--op=batch", "--mode=continuous", "--traffic=poisson",
+                        sigma})
+                     .ok())
+        << bad;
+  }
 }
 
 TEST(ParseCli, PositionalArgumentsRejected) {
   EXPECT_FALSE(parse({"llama3"}).ok());
+  // Switches take no value and value flags need one.
+  EXPECT_FALSE(parse({"--counters=1"}).ok());
+  EXPECT_FALSE(parse({"--help=yes"}).ok());
+  EXPECT_FALSE(parse({"--seq"}).ok());
+  EXPECT_FALSE(parse({"--"}).ok());
 }
 
 TEST(ParseCli, InvalidGeometryCaughtByValidate) {
@@ -475,17 +540,96 @@ TEST(ParseCli, UsageMentionsEveryFlag) {
   }
 }
 
+TEST(ParseCli, UsageIsByteIdenticalToGolden) {
+  // `llamcat_cli --help`, byte for byte. After an intentional change to a
+  // flag or its help, regenerate from the repo root:
+  //   { printf 'R"usage('; ./build/llamcat_cli --help;
+  //     printf ')usage"\n'; } > tests/golden_cli_usage.inc
+  const std::string golden =
+#include "golden_cli_usage.inc"
+      ;
+  EXPECT_EQ(cli_usage(), golden);
+}
+
+TEST(ParseCli, MalformedValueErrorsNameFlagAndValue) {
+  // One malformed value per value-taking flag (paths take any string).
+  const std::vector<std::pair<std::string_view, std::string_view>> bad = {
+      {"model", "gpt-7"},
+      {"op", "train"},
+      {"seq", "0"},
+      {"gemv-rows", "-1"},
+      {"gemv-cols", "4294967296"},
+      {"requests", "0"},
+      {"layers", "two"},
+      {"seqs", "256,,512"},
+      {"mode", "fused"},
+      {"arrivals", "0,x"},
+      {"steps", "4294967296"},
+      {"admit-policy", "lifo"},
+      {"kv-budget", "1e6"},
+      {"kv-evict", "lru"},
+      {"kv-block-bytes", "100"},
+      {"refetch-cost", "0"},
+      {"kv-share", "maybe"},
+      {"prefix-groups", "4294967295"},
+      {"prefix-tokens", "a,b"},
+      {"interleave", "zipper"},
+      {"req-dispatch", "pinned"},
+      {"traffic", "waves"},
+      {"traffic-seed", "-3"},
+      {"traffic-gap", "0"},
+      {"traffic-seq", "512,64"},
+      {"traffic-seq-dist", "poisson"},
+      {"traffic-sigma", "nan"},
+      {"traffic-steps", "1,4294967296"},
+      {"traffic-groups", "many"},
+      {"traffic-zipf", "-0.5"},
+      {"traffic-share-pct", "101"},
+      {"policy", "dynmg+xyz"},
+      {"resp-arb", "both"},
+      {"dispatch", "dynamic"},
+      {"cores", "x"},
+      {"llc-mb", "17592186044416"},
+      {"slices", "0"},
+      {"mshr-entries", "-6"},
+      {"mshr-targets", "8x"},
+      {"repl", "mru"},
+      {"bypass", "some"},
+      {"bypass-keep-p", "1.5"},
+      {"seed", "0x10"},
+  };
+  for (const auto& [flag, value] : bad) {
+    const std::string arg = "--" + std::string(flag) + "=" + std::string(value);
+    const ParseResult r = parse({arg});
+    ASSERT_FALSE(r.ok()) << arg;
+    EXPECT_NE(r.error.find("--" + std::string(flag)), std::string::npos)
+        << r.error;
+    EXPECT_NE(r.error.find(value), std::string::npos) << r.error;
+  }
+  // Every value-taking flag of the registry has a row above.
+  CliOptions unused;
+  for (const CliFlag& f : cli_flags(unused)) {
+    const FlagKind k = f.bind.kind;
+    if (k == FlagKind::kSwitch || k == FlagKind::kHelp ||
+        k == FlagKind::kPath) {
+      continue;
+    }
+    const auto has_row = [&](const auto& row) { return row.first == f.name; };
+    EXPECT_TRUE(std::any_of(bad.begin(), bad.end(), has_row)) << f.name;
+  }
+}
+
 // ------------------------------------------------------- open-loop flags --
 
 TEST(OptionVocabulary, TrafficEnums) {
-  EXPECT_EQ(traffic_process_from_string("poisson"), TrafficProcess::kPoisson);
-  EXPECT_EQ(traffic_process_from_string("bursty"), TrafficProcess::kBursty);
-  EXPECT_EQ(traffic_process_from_string("diurnal"), TrafficProcess::kDiurnal);
-  EXPECT_FALSE(traffic_process_from_string("uniform").has_value());
-  EXPECT_EQ(traffic_dist_from_string("uniform"), TrafficDist::kUniform);
-  EXPECT_EQ(traffic_dist_from_string("lognormal"), TrafficDist::kLognormal);
-  EXPECT_EQ(traffic_dist_from_string("LN"), TrafficDist::kLognormal);
-  EXPECT_FALSE(traffic_dist_from_string("poisson").has_value());
+  EXPECT_EQ(parse_enum<TrafficProcess>("poisson"), TrafficProcess::kPoisson);
+  EXPECT_EQ(parse_enum<TrafficProcess>("bursty"), TrafficProcess::kBursty);
+  EXPECT_EQ(parse_enum<TrafficProcess>("diurnal"), TrafficProcess::kDiurnal);
+  EXPECT_FALSE(parse_enum<TrafficProcess>("uniform").has_value());
+  EXPECT_EQ(parse_enum<TrafficDist>("uniform"), TrafficDist::kUniform);
+  EXPECT_EQ(parse_enum<TrafficDist>("lognormal"), TrafficDist::kLognormal);
+  EXPECT_EQ(parse_enum<TrafficDist>("LN"), TrafficDist::kLognormal);
+  EXPECT_FALSE(parse_enum<TrafficDist>("poisson").has_value());
 }
 
 TEST(ParseCli, TrafficFlagsParse) {
@@ -498,19 +642,19 @@ TEST(ParseCli, TrafficFlagsParse) {
   ASSERT_TRUE(r.ok()) << r.error;
   const CliOptions& opt = *r.options;
   EXPECT_TRUE(opt.traffic);
-  EXPECT_EQ(opt.traffic_process, TrafficProcess::kBursty);
+  EXPECT_EQ(opt.traffic_cfg.process, TrafficProcess::kBursty);
   EXPECT_EQ(opt.batch_requests, 16u);
-  EXPECT_EQ(opt.traffic_seed, 9u);
-  EXPECT_EQ(opt.traffic_gap, 40'000u);
-  EXPECT_EQ(opt.traffic_seq_min, 32u);
-  EXPECT_EQ(opt.traffic_seq_max, 320u);
-  EXPECT_EQ(opt.traffic_seq_dist, TrafficDist::kLognormal);
-  EXPECT_DOUBLE_EQ(opt.traffic_sigma, 0.7);
-  EXPECT_EQ(opt.traffic_steps_min, 2u);
-  EXPECT_EQ(opt.traffic_steps_max, 5u);
-  EXPECT_EQ(opt.traffic_groups, 3u);
-  EXPECT_DOUBLE_EQ(opt.traffic_zipf, 1.5);
-  EXPECT_EQ(opt.traffic_share_pct, 60u);
+  EXPECT_EQ(opt.traffic_cfg.seed, 9u);
+  EXPECT_EQ(opt.traffic_cfg.mean_gap, 40'000u);
+  EXPECT_EQ(opt.traffic_cfg.seq_min, 32u);
+  EXPECT_EQ(opt.traffic_cfg.seq_max, 320u);
+  EXPECT_EQ(opt.traffic_cfg.seq_dist, TrafficDist::kLognormal);
+  EXPECT_DOUBLE_EQ(opt.traffic_cfg.seq_sigma, 0.7);
+  EXPECT_EQ(opt.traffic_cfg.steps_min, 2u);
+  EXPECT_EQ(opt.traffic_cfg.steps_max, 5u);
+  EXPECT_EQ(opt.traffic_cfg.prefix_groups, 3u);
+  EXPECT_DOUBLE_EQ(opt.traffic_cfg.zipf_s, 1.5);
+  EXPECT_EQ(opt.traffic_cfg.share_pct, 60u);
 }
 
 TEST(ParseCli, TrafficFlagsCrossChecked) {

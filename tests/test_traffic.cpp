@@ -6,6 +6,7 @@
 // property of one fixed sample, checked once and then frozen by CI.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -230,6 +231,36 @@ TEST(TrafficConfigValidate, RejectsBadShapes) {
         c.share_pct = 0;
       },
       "share_pct 0 with groups");
+  // Non-finite doubles fail their range checks (NaN compares false both
+  // ways, and a non-finite sigma would reach an undefined conversion).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double x : {nan, inf, -inf}) {
+    expect_throw(
+        [x](TrafficConfig& c) {
+          c.seq_dist = TrafficDist::kLognormal;
+          c.seq_sigma = x;
+        },
+        "non-finite lognormal sigma");
+    expect_throw(
+        [x](TrafficConfig& c) {
+          c.steps_dist = TrafficDist::kLognormal;
+          c.seq_sigma = x;
+        },
+        "non-finite sigma under lognormal steps");
+    expect_throw(
+        [x](TrafficConfig& c) {
+          c.prefix_groups = 2;
+          c.zipf_s = x;
+        },
+        "non-finite zipf");
+    expect_throw(
+        [x](TrafficConfig& c) {
+          c.process = TrafficProcess::kDiurnal;
+          c.diurnal_amplitude = x;
+        },
+        "non-finite amplitude");
+  }
   TrafficConfig ok;
   EXPECT_NO_THROW(ok.validate());
 }

@@ -1,6 +1,6 @@
 // llamcat_cli: run one simulation (or a decode pipeline) on the Table 5
 // machine with any combination of workload / policy / machine overrides,
-// and export the results. See --help (sim/options.hpp) for the vocabulary.
+// and export the results. See --help (cli/options.hpp) for the vocabulary.
 //
 //   llamcat_cli --model=llama3-70b --seq=8192 --policy=dynmg+BMA --energy
 //   llamcat_cli --op=gemv --gemv-rows=16384 --json=run.json
@@ -24,12 +24,12 @@
 #include <stdexcept>
 #include <vector>
 
+#include "cli/options.hpp"
 #include "scenario/fuzz.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/traffic.hpp"
 #include "sim/energy.hpp"
 #include "sim/experiment.hpp"
-#include "sim/options.hpp"
 #include "sim/report.hpp"
 
 using namespace llamcat;
@@ -87,21 +87,7 @@ std::vector<scenario::RequestSpec> build_batch_specs(const CliOptions& opt) {
     return scenario::read_trace(in);
   }
   if (opt.traffic) {
-    scenario::TrafficConfig tc;
-    tc.num_requests = opt.batch_requests;
-    tc.seed = opt.traffic_seed;
-    tc.process = opt.traffic_process;
-    tc.mean_gap = opt.traffic_gap;
-    tc.seq_dist = opt.traffic_seq_dist;
-    tc.seq_min = opt.traffic_seq_min;
-    tc.seq_max = opt.traffic_seq_max;
-    tc.seq_sigma = opt.traffic_sigma;
-    tc.steps_min = opt.traffic_steps_min;
-    tc.steps_max = opt.traffic_steps_max;
-    tc.prefix_groups = opt.traffic_groups;
-    tc.zipf_s = opt.traffic_zipf;
-    tc.share_pct = opt.traffic_share_pct;
-    return scenario::generate_traffic(tc);
+    return scenario::generate_traffic(opt.traffic_cfg);
   }
   std::vector<std::uint64_t> seq_lens = opt.batch_seq_lens;
   if (seq_lens.empty()) {
@@ -126,7 +112,7 @@ std::vector<scenario::RequestSpec> build_batch_specs(const CliOptions& opt) {
     // Prefix identity (only meaningful under --kv-share=on; a 0-token
     // entry keeps the request fully private).
     const std::uint64_t prefix = pick(opt.batch_prefix_tokens, i, 0);
-    if (opt.batch_kv_share && prefix != 0) {
+    if (opt.pass.serving.kv_share && prefix != 0) {
       spec.prefix_group =
           static_cast<std::uint32_t>(pick(opt.batch_prefix_groups, i, 0));
       spec.prefix_tokens = prefix;
@@ -137,18 +123,7 @@ std::vector<scenario::RequestSpec> build_batch_specs(const CliOptions& opt) {
 }
 
 int run_batch(const CliOptions& opt) {
-  scenario::DecodePassConfig pass_cfg;
-  pass_cfg.num_layers = opt.batch_layers;
-  pass_cfg.include_gemv = opt.batch_gemv;
-  pass_cfg.mode = opt.batch_mode;
-  pass_cfg.interleave = opt.batch_interleave;
-  pass_cfg.serving.policy = opt.batch_admit;
-  pass_cfg.serving.kv_budget_bytes = opt.batch_kv_budget;
-  pass_cfg.serving.preempt = opt.batch_preempt;
-  pass_cfg.serving.kv_evict = opt.batch_kv_evict;
-  pass_cfg.serving.kv_block_bytes = opt.batch_kv_block_bytes;
-  pass_cfg.serving.refetch_cost = opt.batch_refetch_cost;
-  pass_cfg.serving.kv_share = opt.batch_kv_share;
+  const scenario::DecodePassConfig& pass_cfg = opt.pass;
 
   // Workload-source expansion and batch/pass construction both validate
   // the scenario (malformed traces, off-granule traffic shapes, duplicate
