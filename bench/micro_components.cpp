@@ -14,13 +14,15 @@ namespace {
 
 void BM_MshrAddRelease(benchmark::State& state) {
   Mshr mshr(6, 8);
+  std::vector<MshrTarget> targets;
   std::uint64_t n = 0;
   for (auto _ : state) {
     const Addr line = (n++ % 6) * kLineBytes;
     if (mshr.find(line) == nullptr && mshr.entry_available()) {
       mshr.add(line, MshrTarget{0, 0, false}, 0);
     } else if (mshr.find(line) != nullptr) {
-      benchmark::DoNotOptimize(mshr.release(line));
+      mshr.release(line, targets);
+      benchmark::DoNotOptimize(targets.data());
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(n));

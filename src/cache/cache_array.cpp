@@ -16,39 +16,36 @@ CacheArray::CacheArray(std::uint32_t num_sets, std::uint32_t assoc,
       plru_(num_sets, 0),
       rng_(seed) {
   assert(num_sets_ > 0 && assoc_ > 0);
+  constexpr std::size_t kPerLine = 64 / sizeof(Addr);
+  const std::size_t n = static_cast<std::size_t>(num_sets) * assoc;
+  tag_store_.assign(n + kPerLine - 1, kNoAddr);
+  const auto misalign = reinterpret_cast<std::uintptr_t>(tag_store_.data()) % 64;
+  tag_off_ = misalign == 0 ? 0 : (64 - misalign) / sizeof(Addr);
 }
 
-CacheArray::Way* CacheArray::find(std::uint32_t set, Addr line_addr) {
-  Way* base = &ways_[static_cast<std::size_t>(set) * assoc_];
-  for (std::uint32_t w = 0; w < assoc_; ++w) {
-    if (base[w].valid && base[w].line == line_addr) return &base[w];
-  }
-  return nullptr;
-}
-
-const CacheArray::Way* CacheArray::find(std::uint32_t set,
-                                        Addr line_addr) const {
-  return const_cast<CacheArray*>(this)->find(set, line_addr);
+std::uint32_t CacheArray::find(std::uint32_t set, Addr line_addr) const {
+  const Addr* t = tags(set);
+  std::uint32_t w = 0;
+  while (w < assoc_ && t[w] != line_addr) ++w;
+  return w;
 }
 
 bool CacheArray::probe(std::uint32_t set, Addr line_addr) const {
-  return find(set, line_addr) != nullptr;
+  return find(set, line_addr) != assoc_;
 }
 
-void CacheArray::promote(std::uint32_t set, std::uint32_t way) {
+void CacheArray::promote(std::uint32_t set, std::uint32_t w) {
   if (repl_ == ReplPolicy::kFifo) return;  // eviction order fixed at insert
-  Way& w = ways_[static_cast<std::size_t>(set) * assoc_ + way];
-  w.stamp = ++tick_;
-  w.rrpv = 0;  // SRRIP: re-referenced lines become near-immediate
-  if (repl_ == ReplPolicy::kTreePlru) set_plru_bits(set, way);
+  Way& meta = way(set, w);
+  meta.stamp = ++tick_;
+  meta.rrpv = 0;  // SRRIP: re-referenced lines become near-immediate
+  if (repl_ == ReplPolicy::kTreePlru) set_plru_bits(set, w);
 }
 
 bool CacheArray::touch(std::uint32_t set, Addr line_addr) {
-  Way* w = find(set, line_addr);
-  if (w == nullptr) return false;
-  const auto way_idx = static_cast<std::uint32_t>(
-      w - &ways_[static_cast<std::size_t>(set) * assoc_]);
-  promote(set, way_idx);
+  const std::uint32_t w = find(set, line_addr);
+  if (w == assoc_) return false;
+  promote(set, w);
   return true;
 }
 
@@ -91,11 +88,10 @@ std::uint32_t CacheArray::plru_victim(std::uint32_t set) const {
 }
 
 std::uint32_t CacheArray::victim_way(std::uint32_t set) {
-  Way* base = &ways_[static_cast<std::size_t>(set) * assoc_];
   // Invalid way first.
-  for (std::uint32_t w = 0; w < assoc_; ++w) {
-    if (!base[w].valid) return w;
-  }
+  const std::uint32_t free_way = find(set, kNoAddr);
+  if (free_way != assoc_) return free_way;
+  Way* base = &way(set, 0);
   switch (repl_) {
     case ReplPolicy::kLru: {
       std::uint32_t victim = 0;
@@ -142,66 +138,69 @@ std::uint32_t CacheArray::victim_way(std::uint32_t set) {
 std::optional<CacheArray::Evicted> CacheArray::fill(std::uint32_t set,
                                                     Addr line_addr,
                                                     bool dirty) {
-  assert(!probe(set, line_addr));
+  assert(line_addr != kNoAddr && !probe(set, line_addr));
   const std::uint32_t w = victim_way(set);
-  Way& way = ways_[static_cast<std::size_t>(set) * assoc_ + w];
+  Addr& tag = tags(set)[w];
+  Way& meta = way(set, w);
   std::optional<Evicted> evicted;
-  if (way.valid) evicted = Evicted{way.line, way.dirty};
-  way.line = line_addr;
-  way.valid = true;
-  way.dirty = dirty;
+  if (tag != kNoAddr) evicted = Evicted{tag, meta.dirty};
+  tag = line_addr;
+  meta.dirty = dirty;
   if (repl_ == ReplPolicy::kFifo) {
     // FIFO ignores the insertion policy: age is fixed at insertion time.
-    way.stamp = ++tick_;
+    meta.stamp = ++tick_;
     return evicted;
   }
   if (repl_ == ReplPolicy::kSrrip) {
     // SRRIP insertion: "long" for MRU-style insert, "distant" for
     // streaming (SRRIP-D); stamp kept for deterministic test inspection.
-    way.rrpv = insert_ == InsertPolicy::kMru ? 2 : 3;
-    way.stamp = insert_ == InsertPolicy::kMru ? ++tick_ : 0;
+    meta.rrpv = insert_ == InsertPolicy::kMru ? 2 : 3;
+    meta.stamp = insert_ == InsertPolicy::kMru ? ++tick_ : 0;
     return evicted;
   }
   if (insert_ == InsertPolicy::kMru) {
     promote(set, w);
   } else {
     // Streaming insert: stamp 0 makes this line the LRU victim candidate.
-    way.stamp = 0;
+    meta.stamp = 0;
   }
   return evicted;
 }
 
 bool CacheArray::mark_dirty(std::uint32_t set, Addr line_addr) {
-  Way* w = find(set, line_addr);
-  if (w == nullptr) return false;
-  w->dirty = true;
+  const std::uint32_t w = find(set, line_addr);
+  if (w == assoc_) return false;
+  way(set, w).dirty = true;
   return true;
 }
 
 bool CacheArray::invalidate(std::uint32_t set, Addr line_addr) {
-  Way* w = find(set, line_addr);
-  if (w == nullptr) return false;
-  w->valid = false;
-  w->dirty = false;
+  const std::uint32_t w = find(set, line_addr);
+  if (w == assoc_) return false;
+  tags(set)[w] = kNoAddr;
+  way(set, w).dirty = false;
   return true;
 }
 
 std::uint8_t CacheArray::rrpv_of(std::uint32_t set, Addr line_addr) const {
-  const Way* w = find(set, line_addr);
-  return w != nullptr ? w->rrpv : 0;
+  const std::uint32_t w = find(set, line_addr);
+  return w != assoc_ ? way(set, w).rrpv : 0;
 }
 
 std::uint64_t CacheArray::valid_count() const {
   std::uint64_t n = 0;
-  for (const auto& w : ways_) n += w.valid ? 1 : 0;
+  for (std::uint32_t s = 0; s < num_sets_; ++s) {
+    const Addr* t = tags(s);
+    for (std::uint32_t w = 0; w < assoc_; ++w) n += t[w] != kNoAddr ? 1 : 0;
+  }
   return n;
 }
 
 std::vector<Addr> CacheArray::set_contents(std::uint32_t set) const {
   std::vector<Addr> out;
-  const Way* base = &ways_[static_cast<std::size_t>(set) * assoc_];
+  const Addr* t = tags(set);
   for (std::uint32_t w = 0; w < assoc_; ++w) {
-    if (base[w].valid) out.push_back(base[w].line);
+    if (t[w] != kNoAddr) out.push_back(t[w]);
   }
   return out;
 }

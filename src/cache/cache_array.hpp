@@ -54,16 +54,28 @@ class CacheArray {
   [[nodiscard]] std::uint8_t rrpv_of(std::uint32_t set, Addr line_addr) const;
 
  private:
+  /// Replacement state of one way; presence lives in the tag array.
   struct Way {
-    Addr line = 0;
-    bool valid = false;
     bool dirty = false;
-    std::uint64_t stamp = 0;   // LRU / FIFO timestamp
     std::uint8_t rrpv = 0;     // kSrrip: 2-bit re-reference prediction
+    std::uint64_t stamp = 0;   // LRU / FIFO timestamp
   };
 
-  Way* find(std::uint32_t set, Addr line_addr);
-  const Way* find(std::uint32_t set, Addr line_addr) const;
+  /// The set's tags, contiguous: an 8-way probe reads one 64-byte line.
+  Addr* tags(std::uint32_t set) {
+    return tag_store_.data() + tag_off_ + static_cast<std::size_t>(set) * assoc_;
+  }
+  const Addr* tags(std::uint32_t set) const {
+    return const_cast<CacheArray*>(this)->tags(set);
+  }
+  Way& way(std::uint32_t set, std::uint32_t w) {
+    return ways_[static_cast<std::size_t>(set) * assoc_ + w];
+  }
+  const Way& way(std::uint32_t set, std::uint32_t w) const {
+    return ways_[static_cast<std::size_t>(set) * assoc_ + w];
+  }
+  /// Way holding `line_addr`, or assoc_ when absent.
+  std::uint32_t find(std::uint32_t set, Addr line_addr) const;
   std::uint32_t victim_way(std::uint32_t set);
   void promote(std::uint32_t set, std::uint32_t way);
   void set_plru_bits(std::uint32_t set, std::uint32_t way);
@@ -73,6 +85,11 @@ class CacheArray {
   std::uint32_t assoc_;
   ReplPolicy repl_;
   InsertPolicy insert_;
+  // num_sets * assoc line tags (kNoAddr = invalid way), starting at the
+  // first 64-byte boundary of the buffer; an offset rather than a pointer
+  // keeps the array copyable.
+  std::vector<Addr> tag_store_;
+  std::size_t tag_off_ = 0;
   std::vector<Way> ways_;             // num_sets * assoc
   std::vector<std::uint32_t> plru_;   // tree-PLRU bits per set
   std::uint64_t tick_ = 0;            // LRU clock

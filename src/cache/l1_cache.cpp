@@ -10,14 +10,14 @@ L1Cache::L1Cache(const L1Config& cfg, CoreId core, std::uint64_t seed)
       core_(core),
       num_sets_(static_cast<std::uint32_t>(cfg.size_bytes /
                                            (cfg.assoc * kLineBytes))),
-      array_(num_sets_, cfg.assoc, cfg.repl, cfg.insert, seed) {
+      array_(num_sets_, cfg.assoc, cfg.repl, cfg.insert, seed),
+      miss_index_(cfg.miss_queue_entries) {
   misses_.reserve(cfg_.miss_queue_entries);
-  miss_index_.reserve(cfg_.miss_queue_entries * 2);
 }
 
 L1Cache::PendingMiss* L1Cache::find_miss(Addr line_addr) {
-  const auto it = miss_index_.find(line_addr);
-  return it == miss_index_.end() ? nullptr : &misses_[it->second];
+  const std::uint32_t* i = miss_index_.find(line_addr);
+  return i == nullptr ? nullptr : &misses_[*i];
 }
 
 L1Cache::LoadResult L1Cache::access_load(Addr line_addr, LoadTag tag) {
@@ -43,7 +43,7 @@ L1Cache::LoadResult L1Cache::access_load(Addr line_addr, LoadTag tag) {
     m.waiters.clear();
   }
   m.waiters.push_back(tag);
-  miss_index_.emplace(line_addr, static_cast<std::uint32_t>(misses_.size()));
+  miss_index_.insert(line_addr, static_cast<std::uint32_t>(misses_.size()));
   misses_.push_back(std::move(m));
   outbox_.push_back(line_addr);
   ++counters_.load_misses;
@@ -72,19 +72,19 @@ void L1Cache::on_fill(Addr line_addr, std::vector<LoadTag>& waiters) {
     array_.fill(set, line_addr, /*dirty=*/false);
     ++counters_.fills;
   }
-  const auto it = miss_index_.find(line_addr);
-  if (it == miss_index_.end()) return;
-  const std::uint32_t i = it->second;
+  const std::uint32_t* slot = miss_index_.find(line_addr);
+  if (slot == nullptr) return;
+  const std::uint32_t i = *slot;
   // Swap-erase: line addresses in the miss queue are unique, and no
   // observable behavior depends on the queue's internal order.
   std::vector<LoadTag>& w = misses_[i].waiters;
   waiters.insert(waiters.end(), w.begin(), w.end());
   w.clear();
   waiter_pool_.push_back(std::move(w));
-  miss_index_.erase(it);
+  miss_index_.erase(line_addr);
   if (i + 1 != misses_.size()) {
     misses_[i] = std::move(misses_.back());
-    miss_index_[misses_[i].line_addr] = i;
+    *miss_index_.find(misses_[i].line_addr) = i;
   }
   misses_.pop_back();
 }

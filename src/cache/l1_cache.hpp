@@ -7,10 +7,10 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache_array.hpp"
+#include "common/addr_table.hpp"
 #include "common/config.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
@@ -81,7 +81,7 @@ class L1Cache {
   /// Whether an outstanding miss to `line_addr` is already in flight (a new
   /// load would merge rather than allocate).
   [[nodiscard]] bool has_pending_miss(Addr line_addr) const {
-    return miss_index_.find(line_addr) != miss_index_.end();
+    return miss_index_.contains(line_addr);
   }
   /// Bulk-accounts `n` blocked-load attempts elided by a skip window.
   void add_blocked_loads(std::uint64_t n) { counters_.load_blocked += n; }
@@ -118,8 +118,8 @@ class L1Cache {
   CacheArray array_;
   std::vector<PendingMiss> misses_;
   // line addr -> index into misses_: the miss queue holds up to
-  // miss_queue_entries lines, far too many for the old linear scans.
-  std::unordered_map<Addr, std::uint32_t> miss_index_;
+  // miss_queue_entries lines, far too many for a linear scan.
+  AddrTable miss_index_;
   std::vector<std::vector<LoadTag>> waiter_pool_;  // recycled waiters
   std::deque<Addr> outbox_;
   Counters counters_;

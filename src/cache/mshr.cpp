@@ -6,20 +6,11 @@
 namespace llamcat {
 
 Mshr::Mshr(std::uint32_t num_entries, std::uint32_t num_targets)
-    : num_entries_(num_entries), num_targets_(num_targets) {
+    : num_entries_(num_entries),
+      num_targets_(num_targets),
+      addrs_(num_entries),
+      entries_(num_entries) {
   assert(num_entries_ > 0 && num_targets_ > 0);
-  entries_.reserve(num_entries_);
-}
-
-Mshr::Entry* Mshr::find(Addr line_addr) {
-  for (auto& e : entries_) {
-    if (e.line_addr == line_addr) return &e;
-  }
-  return nullptr;
-}
-
-const Mshr::Entry* Mshr::find(Addr line_addr) const {
-  return const_cast<Mshr*>(this)->find(line_addr);
 }
 
 Mshr::AddResult Mshr::add(Addr line_addr, const MshrTarget& target,
@@ -30,21 +21,28 @@ Mshr::AddResult Mshr::add(Addr line_addr, const MshrTarget& target,
     return AddResult::kMerged;
   }
   if (!entry_available()) return AddResult::kNoEntryFree;
-  Entry e;
+  Entry& e = entries_[n_];
   e.line_addr = line_addr;
+  e.targets.clear();
   e.targets.push_back(target);
   e.alloc_cycle = now;
-  entries_.push_back(std::move(e));
+  addrs_[n_] = line_addr;
+  ++n_;
   return AddResult::kNewEntry;
 }
 
-std::vector<MshrTarget> Mshr::release(Addr line_addr) {
-  auto it = std::find_if(entries_.begin(), entries_.end(),
-                         [&](const Entry& e) { return e.line_addr == line_addr; });
-  assert(it != entries_.end() && "release of unknown MSHR entry");
-  std::vector<MshrTarget> targets = std::move(it->targets);
-  entries_.erase(it);
-  return targets;
+void Mshr::release(Addr line_addr, std::vector<MshrTarget>& targets) {
+  const std::uint32_t i = index_of(line_addr);
+  assert(i != n_ && "release of unknown MSHR entry");
+  targets.clear();
+  targets.swap(entries_[i].targets);
+  // Close the gap in allocation order; the freed slot (and the buffer it
+  // now holds) moves to the end of the live range.
+  std::rotate(entries_.begin() + i, entries_.begin() + i + 1,
+              entries_.begin() + n_);
+  std::rotate(addrs_.begin() + i, addrs_.begin() + i + 1,
+              addrs_.begin() + n_);
+  --n_;
 }
 
 }  // namespace llamcat

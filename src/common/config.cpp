@@ -1,6 +1,8 @@
 #include "common/config.hpp"
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "common/math_util.hpp"
 
@@ -174,8 +176,19 @@ void LlcConfig::validate() const {
 }
 
 void ArbConfig::validate() const {
-  // Depth 0 disables the corresponding FIFO, which every policy tolerates;
-  // the hook exists so a future constraint fails loudly here.
+  // Depth 0 disables the corresponding FIFO, which every policy tolerates.
+  // The sent_reqs lower bound depends on the LLC latencies and is checked
+  // in SimConfig::validate().
+}
+
+void ArbConfig::check_sent_reqs_depth(std::uint64_t depth,
+                                      std::uint64_t lifetime) {
+  if (depth != 0 && depth < lifetime) {
+    throw std::invalid_argument(
+        "arb.sent_reqs_depth " + std::to_string(depth) +
+        " below the lookup lifetime llc.hit_latency + llc.mshr_latency = " +
+        std::to_string(lifetime) + " (0 disables sent_reqs)");
+  }
 }
 
 void DramConfig::validate() const {
@@ -214,6 +227,9 @@ void SimConfig::validate() const {
   if (core_hz <= 0) throw std::invalid_argument("SimConfig: clock <= 0");
   if (dram.dram_hz > core_hz)
     throw std::invalid_argument("SimConfig: model assumes dram_hz <= core_hz");
+  ArbConfig::check_sent_reqs_depth(
+      arb.sent_reqs_depth,
+      static_cast<std::uint64_t>(llc.hit_latency) + llc.mshr_latency);
 }
 
 std::string SimConfig::summary() const {

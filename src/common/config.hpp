@@ -261,6 +261,13 @@ struct ArbConfig {
 
   /// Throws std::invalid_argument when fields are inconsistent.
   void validate() const;
+  /// Throws std::invalid_argument when a sent_reqs FIFO of `depth` entries
+  /// (0 = disabled) cannot hold every request in the lookup pipeline: one
+  /// enters per cycle and stays `lifetime` = llc.hit_latency +
+  /// llc.mshr_latency cycles (§4.3.1). The one statement of that bound,
+  /// used by SimConfig::validate() and the SentReqs constructor.
+  static void check_sent_reqs_depth(std::uint64_t depth,
+                                    std::uint64_t lifetime);
 };
 
 struct NocConfig {
@@ -375,6 +382,11 @@ struct SimConfig {
   std::uint64_t seed = 1;
   /// Hard safety limit; a run exceeding this throws (deadlock guard).
   Cycle max_cycles = 2'000'000'000;
+  /// Event-driven skip-ahead over provably frozen cycles plus per-core and
+  /// per-slice self-freezing. Results are byte-identical either way; off
+  /// steps every component every cycle (the reference for differential
+  /// checks).
+  bool fast_path = true;
 
   /// The paper's Table 5 configuration.
   static SimConfig table5();

@@ -25,6 +25,9 @@ inline constexpr std::uint32_t kLineBytes = 64;
 constexpr Addr line_align(Addr a) { return a & ~static_cast<Addr>(kLineBytes - 1); }
 /// Line index of a byte address (address / 64).
 constexpr Addr line_index(Addr a) { return a / kLineBytes; }
+/// No line-aligned address has its low bits set: the empty / invalid marker
+/// of tag arrays and address-keyed lookup tables.
+inline constexpr Addr kNoAddr = ~Addr{0};
 
 enum class AccessType : std::uint8_t { kLoad, kStore };
 

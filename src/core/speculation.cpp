@@ -2,40 +2,68 @@
 
 #include <cassert>
 
+#include "common/config.hpp"
+
 namespace llamcat {
 
 void HitBuffer::record_hit(Addr line_addr) {
-  if (depth_ == 0) return;
-  fifo_.push_back(line_addr);
-  ++counts_[line_addr];
-  if (fifo_.size() > depth_) {
-    const Addr old = fifo_.front();
-    fifo_.pop_front();
-    auto it = counts_.find(old);
-    assert(it != counts_.end());
-    if (--it->second == 0) counts_.erase(it);
+  const auto depth = static_cast<std::uint32_t>(ring_.size());
+  if (depth == 0) return;
+  if (size_ == depth) {
+    // Full: the oldest copy leaves before the new one takes its slot.
+    const Addr old = ring_[head_];
+    std::uint32_t* n = counts_.find(old);
+    assert(n != nullptr);
+    if (--*n == 0) counts_.erase(old);
+    head_ = head_ + 1 == depth ? 0 : head_ + 1;
+    --size_;
   }
+  std::uint32_t tail = head_ + size_;
+  if (tail >= depth) tail -= depth;
+  ring_[tail] = line_addr;
+  ++size_;
+  if (std::uint32_t* n = counts_.find(line_addr)) {
+    ++*n;
+  } else {
+    counts_.insert(line_addr, 1);
+  }
+}
+
+SentReqs::SentReqs(std::uint32_t depth, std::uint32_t lifetime)
+    : lifetime_(lifetime), ring_(depth) {
+  ArbConfig::check_sent_reqs_depth(depth, lifetime);
 }
 
 void SentReqs::push(Addr line_addr, bool spec_hit, Cycle now) {
-  // The FIFO depth is a hardware bound; the lookup pipeline can only hold
-  // lifetime_ requests, so overflow indicates a misconfiguration.
-  assert(fifo_.size() < depth_ || depth_ == 0);
-  if (depth_ == 0) return;
-  fifo_.push_back(Entry{line_addr, spec_hit, now});
-  if (!spec_hit) ++mshr_bound_[line_addr];
+  const auto depth = static_cast<std::uint32_t>(ring_.size());
+  if (depth == 0) return;
+  // The lookup pipeline holds at most lifetime_ requests and the
+  // constructor rejects a depth below that, so with expire() run before
+  // each cycle's push the ring never fills.
+  assert(size_ < depth && "sent_reqs overflow: push without expire()");
+  std::uint32_t tail = head_ + size_;
+  if (tail >= depth) tail -= depth;
+  ring_[tail] = Entry{line_addr, spec_hit, now};
+  ++size_;
 }
 
 void SentReqs::expire(Cycle now) {
-  while (!fifo_.empty() && fifo_.front().pushed_at + lifetime_ <= now) {
-    const Entry& e = fifo_.front();
-    if (!e.spec_hit) {
-      auto it = mshr_bound_.find(e.line_addr);
-      assert(it != mshr_bound_.end());
-      if (--it->second == 0) mshr_bound_.erase(it);
-    }
-    fifo_.pop_front();
+  const auto depth = static_cast<std::uint32_t>(ring_.size());
+  while (size_ != 0 && ring_[head_].pushed_at + lifetime_ <= now) {
+    head_ = head_ + 1 == depth ? 0 : head_ + 1;
+    --size_;
   }
+}
+
+bool SentReqs::contains_mshr_bound(Addr line_addr) const {
+  const auto depth = static_cast<std::uint32_t>(ring_.size());
+  std::uint32_t i = head_;
+  for (std::uint32_t k = 0; k < size_; ++k) {
+    const Entry& e = ring_[i];
+    if (e.line_addr == line_addr && !e.spec_hit) return true;
+    i = i + 1 == depth ? 0 : i + 1;
+  }
+  return false;
 }
 
 }  // namespace llamcat

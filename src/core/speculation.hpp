@@ -6,40 +6,50 @@
 //                  real MSHR has been updated. The spec_hit bit masks out
 //                  requests speculated to be cache hits (MSHR uninvolved).
 // MSHR_snapshot is a direct wire to the live MSHR and needs no structure.
+// Both FIFOs are fixed-size rings, as in hardware: nothing allocates after
+// construction.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
+#include <vector>
 
+#include "common/addr_table.hpp"
 #include "common/types.hpp"
 
 namespace llamcat {
 
-/// Bounded FIFO of recent cache-hit lines with O(1) membership tests.
+/// Bounded FIFO of recent cache-hit lines with O(1) membership tests. A
+/// line hit twice occupies two FIFO slots and stays a member until both
+/// have been evicted.
 class HitBuffer {
  public:
-  explicit HitBuffer(std::uint32_t depth) : depth_(depth) {}
+  explicit HitBuffer(std::uint32_t depth)
+      : ring_(depth), counts_(depth) {}
 
   void record_hit(Addr line_addr);
   [[nodiscard]] bool contains(Addr line_addr) const {
-    return counts_.find(line_addr) != counts_.end();
+    return counts_.contains(line_addr);
   }
-  [[nodiscard]] std::size_t size() const { return fifo_.size(); }
-  [[nodiscard]] std::uint32_t depth() const { return depth_; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] std::uint32_t depth() const {
+    return static_cast<std::uint32_t>(ring_.size());
+  }
 
  private:
-  std::uint32_t depth_;
-  std::deque<Addr> fifo_;
-  std::unordered_map<Addr, std::uint32_t> counts_;
+  std::vector<Addr> ring_;  // FIFO storage, oldest at head_
+  std::uint32_t head_ = 0;
+  std::uint32_t size_ = 0;
+  AddrTable counts_;  // line -> copies in ring_
 };
 
 /// Requests chosen by the arbiter but not yet visible in the MSHR.
 class SentReqs {
  public:
-  /// `lifetime` = hit_latency + mshr_latency (paper §4.3.1).
-  SentReqs(std::uint32_t depth, std::uint32_t lifetime)
-      : depth_(depth), lifetime_(lifetime) {}
+  /// `lifetime` = hit_latency + mshr_latency (paper §4.3.1). One request is
+  /// selected per cycle, so at most `lifetime` entries are ever live: a
+  /// depth in [1, lifetime) cannot hold them and throws
+  /// std::invalid_argument. Depth 0 disables the FIFO.
+  SentReqs(std::uint32_t depth, std::uint32_t lifetime);
 
   /// Records a selected request. `spec_hit` is its speculated-cache-hit bit.
   void push(Addr line_addr, bool spec_hit, Cycle now);
@@ -48,15 +58,15 @@ class SentReqs {
   void expire(Cycle now);
 
   /// True when the address is tracked by an entry whose spec_hit bit is 0,
-  /// i.e. it is expected to appear in the MSHR shortly.
-  [[nodiscard]] bool contains_mshr_bound(Addr line_addr) const {
-    auto it = mshr_bound_.find(line_addr);
-    return it != mshr_bound_.end() && it->second > 0;
-  }
+  /// i.e. it is expected to appear in the MSHR shortly. A linear scan over
+  /// the live entries, like the CAM match it models.
+  [[nodiscard]] bool contains_mshr_bound(Addr line_addr) const;
 
-  [[nodiscard]] std::size_t size() const { return fifo_.size(); }
-  [[nodiscard]] bool full() const { return fifo_.size() >= depth_; }
-  [[nodiscard]] std::uint32_t depth() const { return depth_; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool full() const { return size_ >= depth(); }
+  [[nodiscard]] std::uint32_t depth() const {
+    return static_cast<std::uint32_t>(ring_.size());
+  }
   [[nodiscard]] std::uint32_t lifetime() const { return lifetime_; }
 
  private:
@@ -65,10 +75,10 @@ class SentReqs {
     bool spec_hit;
     Cycle pushed_at;
   };
-  std::uint32_t depth_;
   std::uint32_t lifetime_;
-  std::deque<Entry> fifo_;
-  std::unordered_map<Addr, std::uint32_t> mshr_bound_;  // count of spec_hit==0
+  std::vector<Entry> ring_;  // FIFO storage, oldest at head_
+  std::uint32_t head_ = 0;
+  std::uint32_t size_ = 0;
 };
 
 }  // namespace llamcat

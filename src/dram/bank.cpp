@@ -46,14 +46,14 @@ void BankGroupState::on_write(DramTick now, const DramTiming& t) {
   raise_to(wr_allowed, now + t.tCCD_L);
 }
 
-bool RankState::can_activate(DramTick now, const DramTiming& t) const {
-  if (refreshing(now) || now < act_allowed_) return false;
-  // tFAW: at most 4 ACTs in any tFAW window.
-  std::uint32_t in_window = 0;
-  for (DramTick ts : faw_window_) {
-    if (ts + t.tFAW > now) ++in_window;
+DramTick RankState::act_ready_at(const DramTiming& t) const {
+  DramTick ready = std::max(refresh_until_, act_allowed_);
+  // tFAW: at most 4 ACTs in any tFAW window. ACTs issue in tick order, so
+  // with four on record the oldest one is the window's left edge.
+  if (faw_window_.size() >= 4) {
+    ready = std::max(ready, faw_window_.front() + t.tFAW);
   }
-  return in_window < 4;
+  return ready;
 }
 
 void RankState::on_activate(DramTick now, const DramTiming& t) {

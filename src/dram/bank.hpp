@@ -22,18 +22,13 @@ class Bank {
     return open_row_;
   }
 
-  [[nodiscard]] bool can_activate(DramTick now) const {
-    return !row_open() && now >= act_allowed_;
-  }
-  [[nodiscard]] bool can_precharge(DramTick now) const {
-    return row_open() && now >= pre_allowed_;
-  }
-  [[nodiscard]] bool can_read(DramTick now, std::uint32_t row) const {
-    return open_row_ == row && now >= rd_allowed_;
-  }
-  [[nodiscard]] bool can_write(DramTick now, std::uint32_t row) const {
-    return open_row_ == row && now >= wr_allowed_;
-  }
+  // Earliest issue tick of each command at bank level. ACT needs a closed
+  // bank, PRE an open one, RD/WR the request's row open; the controller's
+  // ready_at() combines these with the bank-group, rank and bus limits.
+  [[nodiscard]] DramTick act_allowed() const { return act_allowed_; }
+  [[nodiscard]] DramTick pre_allowed() const { return pre_allowed_; }
+  [[nodiscard]] DramTick rd_allowed() const { return rd_allowed_; }
+  [[nodiscard]] DramTick wr_allowed() const { return wr_allowed_; }
 
   void do_activate(DramTick now, std::uint32_t row, const DramTiming& t);
   void do_precharge(DramTick now, const DramTiming& t);
@@ -64,10 +59,11 @@ struct BankGroupState {
 /// Rank level constraints: tRRD_S, tFAW, write->read turnaround, refresh.
 class RankState {
  public:
-  [[nodiscard]] bool can_activate(DramTick now, const DramTiming& t) const;
-  [[nodiscard]] bool refreshing(DramTick now) const {
-    return now < refresh_until_;
-  }
+  /// Earliest tick an ACT may issue in this rank: after tRRD_S, after the
+  /// refresh window, and once the oldest of the last four ACTs has left the
+  /// tFAW window.
+  [[nodiscard]] DramTick act_ready_at(const DramTiming& t) const;
+  [[nodiscard]] DramTick refresh_until() const { return refresh_until_; }
   [[nodiscard]] DramTick rd_allowed() const { return rd_allowed_; }
 
   void on_activate(DramTick now, const DramTiming& t);

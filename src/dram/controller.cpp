@@ -26,6 +26,7 @@ void DramController::enqueue(const DramRequest& r, DramTick now) {
   e.coord = map_.decode(r.line_addr);
   assert(e.coord.channel == channel_id_);
   e.arrival = now;
+  quiet_until_ = 0;
   if (r.is_write) {
     // Forward any pending read to the same line first? Reads probe the write
     // queue at enqueue time instead (simpler and equivalent here because the
@@ -58,6 +59,7 @@ void DramController::do_refresh_at(DramTick now) {
   }
   ranks_[rank].begin_refresh(now, now + timing_.tRFC);
   ++counters_.refreshes;
+  quiet_until_ = 0;
 }
 
 void DramController::skip_idle(DramTick from, std::uint64_t ticks) {
@@ -73,22 +75,26 @@ void DramController::skip_idle(DramTick from, std::uint64_t ticks) {
   }
 }
 
-bool DramController::ready_for_data(const Entry& e, bool is_write,
-                                    DramTick now) {
-  const Bank& bank = const_cast<DramController*>(this)->bank_of(e.coord);
-  const BankGroupState& bg = const_cast<DramController*>(this)->bg_of(e.coord);
+DramTick DramController::ready_at(const Entry& e, bool is_write) const {
+  const Bank& bank = bank_of(e.coord);
+  const BankGroupState& bg = bg_of(e.coord);
   const RankState& rank = ranks_[e.coord.rank];
-  if (rank.refreshing(now)) return false;
-  if (is_write) {
-    return bank.can_write(now, e.coord.row) && now >= bg.wr_allowed &&
-           now >= bus_.wr_allowed;
+  if (bank.open_row() == e.coord.row) {
+    if (is_write) {
+      return std::max({rank.refresh_until(), bank.wr_allowed(),
+                       bg.wr_allowed, bus_.wr_allowed});
+    }
+    return std::max({rank.refresh_until(), bank.rd_allowed(), bg.rd_allowed,
+                     bus_.rd_allowed, rank.rd_allowed()});
   }
-  return bank.can_read(now, e.coord.row) && now >= bg.rd_allowed &&
-         now >= bus_.rd_allowed && now >= rank.rd_allowed();
+  if (bank.row_open()) {
+    return std::max(rank.refresh_until(), bank.pre_allowed());
+  }
+  return std::max({bank.act_allowed(), bg.act_allowed,
+                   rank.act_ready_at(timing_)});
 }
 
-void DramController::issue_data(Entry& e, bool is_write, DramTick now,
-                                std::vector<DramCompletion>& done) {
+void DramController::issue_data(Entry& e, bool is_write, DramTick now) {
   Bank& bank = bank_of(e.coord);
   BankGroupState& bg = bg_of(e.coord);
   if (is_write) {
@@ -116,51 +122,45 @@ void DramController::issue_data(Entry& e, bool is_write, DramTick now,
         DramCompletion{e.req.line_addr, e.req.payload,
                        now + timing_.read_latency() + cfg_.ctrl_latency});
   }
-  (void)done;
 }
 
 bool DramController::schedule_from(std::vector<Entry>& q, bool is_write,
-                                   DramTick now,
-                                   std::vector<DramCompletion>& done) {
-  if (q.empty()) return false;
-
+                                   DramTick now, DramTick& next_ready) {
   // Pass 1 (FR): oldest request whose row is open and data command ready.
   for (std::size_t i = 0; i < q.size(); ++i) {
-    if (ready_for_data(q[i], is_write, now)) {
-      issue_data(q[i], is_write, now, done);
+    if (!row_hit(q[i])) continue;
+    const DramTick ready = ready_at(q[i], is_write);
+    if (now >= ready) {
+      issue_data(q[i], is_write, now);
       q.erase(q.begin() + static_cast<std::ptrdiff_t>(i));
       return true;
     }
+    next_ready = std::min(next_ready, ready);
   }
 
-  // Pass 2 (FCFS): advance the oldest request's bank state.
+  // Pass 2 (FCFS): advance the oldest request's bank state - an ACT for a
+  // closed bank, a PRE for a conflicting open row.
   for (std::size_t i = 0; i < q.size(); ++i) {
     Entry& e = q[i];
-    Bank& bank = bank_of(e.coord);
-    RankState& rank = ranks_[e.coord.rank];
-    BankGroupState& bg = bg_of(e.coord);
-    if (rank.refreshing(now)) continue;
-    if (!bank.row_open()) {
-      if (bank.can_activate(now) && now >= bg.act_allowed &&
-          rank.can_activate(now, timing_)) {
-        bank.do_activate(now, e.coord.row, timing_);
-        bg.on_activate(now, timing_);
-        rank.on_activate(now, timing_);
-        e.activated_for = true;
-        ++counters_.activates;
-        return true;
-      }
-    } else if (bank.open_row() != e.coord.row) {
-      if (bank.can_precharge(now)) {
-        bank.do_precharge(now, timing_);
-        ++counters_.precharges;
-        ++counters_.row_conflicts;
-        return true;
-      }
+    if (row_hit(e)) continue;
+    const DramTick ready = ready_at(e, is_write);
+    if (now < ready) {
+      next_ready = std::min(next_ready, ready);
+      continue;
     }
-    // Only attempt row management on behalf of the oldest blocked request
-    // per bank; scanning further entries to the same bank would reorder the
-    // open-row decision. Continue to other banks' requests.
+    Bank& bank = bank_of(e.coord);
+    if (!bank.row_open()) {
+      bank.do_activate(now, e.coord.row, timing_);
+      bg_of(e.coord).on_activate(now, timing_);
+      ranks_[e.coord.rank].on_activate(now, timing_);
+      e.activated_for = true;
+      ++counters_.activates;
+    } else {
+      bank.do_precharge(now, timing_);
+      ++counters_.precharges;
+      ++counters_.row_conflicts;
+    }
+    return true;
   }
   return false;
 }
@@ -207,14 +207,21 @@ void DramController::tick(DramTick now, std::vector<DramCompletion>& done) {
       (occ <= cfg_.write_drain_low || write_q_.empty()))
     draining_writes_ = false;
 
+  // Quiet-until gate: nothing changed readiness since a tick at which no
+  // entry of either queue could issue, and none can before quiet_until_.
+  if (now < quiet_until_) return;
+
+  DramTick next_ready = ~DramTick{0};
   const bool prefer_writes = draining_writes_ || read_q_.empty();
-  if (prefer_writes) {
-    if (schedule_from(write_q_, /*is_write=*/true, now, done)) return;
-    if (schedule_from(read_q_, /*is_write=*/false, now, done)) return;
-  } else {
-    if (schedule_from(read_q_, /*is_write=*/false, now, done)) return;
-    if (schedule_from(write_q_, /*is_write=*/true, now, done)) return;
-  }
+  const bool issued =
+      prefer_writes
+          ? schedule_from(write_q_, /*is_write=*/true, now, next_ready) ||
+                schedule_from(read_q_, /*is_write=*/false, now, next_ready)
+          : schedule_from(read_q_, /*is_write=*/false, now, next_ready) ||
+                schedule_from(write_q_, /*is_write=*/true, now, next_ready);
+  // Both queues were scanned in full when nothing issued, so next_ready
+  // covers every entry.
+  quiet_until_ = issued ? 0 : next_ready;
 }
 
 }  // namespace llamcat

@@ -114,19 +114,37 @@ class DramController {
                       cfg_.banks_per_bankgroup +
                   c.bank];
   }
+  const Bank& bank_of(const DramCoord& c) const {
+    return const_cast<DramController*>(this)->bank_of(c);
+  }
   BankGroupState& bg_of(const DramCoord& c) {
     return bankgroups_[c.rank * cfg_.bankgroups_per_rank + c.bankgroup];
+  }
+  const BankGroupState& bg_of(const DramCoord& c) const {
+    return const_cast<DramController*>(this)->bg_of(c);
   }
 
   bool maybe_refresh(DramTick now);
   /// All-bank refresh of the round-robin rank, issued at tick `now`.
   void do_refresh_at(DramTick now);
-  /// Returns true if a command was issued this cycle.
+  /// Whether `e`'s row is the open row of its bank (its next command is a
+  /// RD/WR rather than a PRE or an ACT).
+  [[nodiscard]] bool row_hit(const Entry& e) const {
+    return bank_of(e.coord).open_row() == e.coord.row;
+  }
+  /// Earliest tick at which the next command for `e` can issue: a RD/WR if
+  /// its row is open, a PRE if another row is open, an ACT (tRRD, tFAW and
+  /// the rank's refresh window included) if the bank is closed. Bank, rank
+  /// and bus state change only when a command issues or a refresh starts,
+  /// so until then `e` is ready exactly when now >= ready_at(e). Both
+  /// scheduler passes test readiness through this one function.
+  [[nodiscard]] DramTick ready_at(const Entry& e, bool is_write) const;
+  /// Issues at most one command from `q` and returns whether it did. When
+  /// it issues nothing it has evaluated every entry, and `next_ready` is
+  /// lowered to the earliest ready_at among them.
   bool schedule_from(std::vector<Entry>& q, bool is_write, DramTick now,
-                     std::vector<DramCompletion>& done);
-  bool ready_for_data(const Entry& e, bool is_write, DramTick now);
-  void issue_data(Entry& e, bool is_write, DramTick now,
-                  std::vector<DramCompletion>& done);
+                     DramTick& next_ready);
+  void issue_data(Entry& e, bool is_write, DramTick now);
 
   const DramConfig cfg_;
   const DramTiming timing_;
@@ -145,6 +163,11 @@ class DramController {
   // delivery and next_read_event only ever look at the front.
   std::deque<DramCompletion> inflight_reads_;
   bool draining_writes_ = false;
+  // Quiet-until gate: after a tick that issued nothing, the earliest tick
+  // at which any queued entry can issue. Ticks before it skip the
+  // scheduler scans. Zero (no gate) after an enqueue, an issued command or
+  // a refresh - the only events that change readiness.
+  DramTick quiet_until_ = 0;
   DramTick next_refresh_ = 0;
   std::uint32_t refresh_rank_rr_ = 0;
 

@@ -78,7 +78,8 @@ void LlcSlice::process_fills(Cycle now) {
     const Addr line = pending_fills_.front();
     pending_fills_.pop_front();
     bool dirty = false;
-    for (const MshrTarget& t : mshr_.release(line)) {
+    mshr_.release(line, fill_targets_);
+    for (const MshrTarget& t : fill_targets_) {
       if (t.is_store) {
         dirty = true;
       } else {
@@ -231,7 +232,6 @@ void LlcSlice::advance_mshr_stage(Cycle now, DramSystem& dram) {
   const auto res = mshr_.add(line, target, now);
   assert(res == Mshr::AddResult::kNewEntry);
   (void)res;
-  mshr_.find(line)->issued_to_dram = true;
   dram.enqueue(rd);
   ++counters_.mshr_allocs;
   if (ReqCounters* rc = req_counters_of(line)) ++rc->dram_reads;

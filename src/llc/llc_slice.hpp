@@ -248,6 +248,7 @@ class LlcSlice {
   std::deque<Addr> wb_buffer_;  // dirty victims awaiting DRAM write slots
   std::priority_queue<OutResp, std::vector<OutResp>, std::greater<>>
       out_resp_;
+  std::vector<MshrTarget> fill_targets_;  // process_fills scratch
 
   // Self-freeze cache (see frozen_tick); any ingress invalidates it.
   bool fast_path_ = true;

@@ -290,9 +290,12 @@ FuzzScenario draw_scenario(std::uint64_t seed) {
 }
 
 FuzzResult run_fuzz_seed(std::uint64_t seed) {
+  return run_fuzz_scenario(seed, draw_scenario(seed));
+}
+
+FuzzResult run_fuzz_scenario(std::uint64_t seed, const FuzzScenario& sc) {
   FuzzResult out;
   out.seed = seed;
-  const FuzzScenario sc = draw_scenario(seed);
   try {
     const RequestBatch batch(sc.model, sc.requests);
 
@@ -318,6 +321,22 @@ FuzzResult run_fuzz_seed(std::uint64_t seed) {
           "determinism: audited and plain runs of the same scenario "
           "diverge: " +
           first_diff(d1, d2));
+    }
+
+    // Fast-path differential, every 4th seed: skip-ahead and self-freezing
+    // must be invisible, so stepping every component on every cycle must
+    // reproduce the digest byte for byte. (Pointless when the scenario
+    // already runs stepped.)
+    if (seed % 4 == 0 && sc.cfg.fast_path) {
+      SimConfig stepped = sc.cfg;
+      stepped.fast_path = false;
+      const BatchStats s6 = DecodePass(batch, sc.pass_cfg, stepped).run();
+      const std::string d6 = batch_stats_digest(s6);
+      if (d1 != d6) {
+        out.violations.push_back(
+            "fast path: the run with SimConfig::fast_path off diverges: " +
+            first_diff(d1, d6));
+      }
     }
 
     // A queueing discipline with an unlimited budget and no preemption

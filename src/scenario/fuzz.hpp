@@ -14,6 +14,8 @@
 //  - run 1 executes with the in-engine ledger auditor on;
 //  - run 2 executes audit-off and must be byte-identical (same-seed
 //    determinism AND audit-neutrality in one diff);
+//  - every 4th seed also runs with SimConfig::fast_path off and must be
+//    byte-identical (the skip-ahead fast path is invisible);
 //  - the post-run contract (audit_batch) checks landmarks, attribution and
 //    policy accounting;
 //  - draws whose knobs are provably no-ops (a queueing discipline with an
@@ -76,7 +78,13 @@ struct FuzzResult {
 
 /// Runs the full double-run + contract harness for one seed (see the
 /// header comment). Never throws: engine exceptions become violations.
+/// Same as run_fuzz_scenario(seed, draw_scenario(seed)).
 [[nodiscard]] FuzzResult run_fuzz_seed(std::uint64_t seed);
+
+/// Runs the harness on an already-drawn (possibly adjusted) scenario; `seed`
+/// only labels the result and picks the every-4th fast-path rerun.
+[[nodiscard]] FuzzResult run_fuzz_scenario(std::uint64_t seed,
+                                           const FuzzScenario& sc);
 
 /// Runs seeds base_seed .. base_seed+n-1 across `jobs` worker threads
 /// (0 = hardware concurrency, 1 = in-caller serial execution). Every run

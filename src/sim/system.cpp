@@ -20,8 +20,6 @@ System::System(const SimConfig& cfg, const ITbSource& source,
       throttle_(make_throttle_controller(cfg.throttle, cfg.core)),
       tagger_(tagger) {
   cfg_.validate();
-  const char* no_fp = std::getenv("LLAMCAT_NO_FASTPATH");
-  fast_path_ = !(no_fp != nullptr && no_fp[0] == '1');
   if (tagger_ != nullptr) {
     const std::uint32_t n = scheduler_.num_requests();
     req_started_.assign(n, false);
@@ -34,14 +32,14 @@ System::System(const SimConfig& cfg, const ITbSource& source,
     cores_.push_back(std::make_unique<VectorCore>(
         cfg_.core, cfg_.l1, static_cast<CoreId>(c), cfg_.seed + c));
     cores_.back()->bind(&scheduler_);
-    cores_.back()->set_fast_path(fast_path_);
+    cores_.back()->set_fast_path(cfg_.fast_path);
   }
   slices_.reserve(cfg_.llc.num_slices);
   for (std::uint32_t s = 0; s < cfg_.llc.num_slices; ++s) {
     slices_.push_back(std::make_unique<LlcSlice>(
         cfg_.llc, cfg_.arb, s, cfg_.core.num_cores, cfg_.seed + 1000 + s));
     slices_.back()->set_tagger(tagger_);
-    slices_.back()->set_fast_path(fast_path_);
+    slices_.back()->set_fast_path(cfg_.fast_path);
   }
   dram_.on_read_complete = [this](const DramCompletion& d) {
     slices_[d.payload]->on_dram_fill(d.line_addr);
@@ -60,9 +58,9 @@ void System::deliver_responses() {
 void System::inject_core_traffic() {
   // Rotate the starting core so no core gets a structural priority.
   const std::uint32_t n = cfg_.core.num_cores;
-  const std::uint32_t start = static_cast<std::uint32_t>(cycle_ % n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    VectorCore& core = *cores_[(start + i) % n];
+  std::uint32_t c = static_cast<std::uint32_t>(cycle_ % n);
+  for (std::uint32_t i = 0; i < n; ++i, c = c + 1 == n ? 0 : c + 1) {
+    VectorCore& core = *cores_[c];
     const auto out = core.peek_outgoing();
     if (!out) continue;
     const std::uint32_t slice = slice_map_.slice_of(out->line_addr);
@@ -319,7 +317,7 @@ SimStats System::run(const AdmissionHook& admission) {
       admission(*this, cycle_);
     }
     if (done()) break;
-    if (fast_path_ && cycle_ >= retry_at) {
+    if (cfg_.fast_path && cycle_ >= retry_at) {
       const Cycle wake = next_wake(static_cast<bool>(admission));
       if (wake > cycle_ + 1) {
         if (fp_stats) {

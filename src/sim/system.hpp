@@ -58,16 +58,9 @@ class System : private IFlightObserver {
   [[nodiscard]] SimStats collect_stats() const;
 
   // ---- event-driven skip-ahead ---------------------------------------------
-  /// The fast path (skip-ahead over provably frozen cycles plus per-core
-  /// self-freezing) is on by default and produces byte-identical stats; it
-  /// can be disabled for A/B debugging here or with the environment knob
-  /// LLAMCAT_NO_FASTPATH=1.
-  void set_fast_path(bool on) {
-    fast_path_ = on;
-    for (auto& core : cores_) core->set_fast_path(on);
-    for (auto& slice : slices_) slice->set_fast_path(on);
-  }
-  [[nodiscard]] bool fast_path() const { return fast_path_; }
+  // SimConfig::fast_path switches it (skip-ahead over provably frozen
+  // cycles plus per-core and per-slice self-freezing); on by default, and
+  // byte-identical stats either way.
 
   /// Admission hooks call this on every invocation to publish the earliest
   /// future cycle at which they need to act again (their next arrival or
@@ -133,7 +126,6 @@ class System : private IFlightObserver {
 
   // Skip-ahead state. wake_hint_ starts at 0 so a hook that never hints
   // forbids skipping; it is reset to 0 before every hook invocation.
-  bool fast_path_ = true;
   Cycle wake_hint_ = 0;
   std::vector<VectorCore::WaitProfile> core_prof_;
   std::vector<LlcSlice::WaitProfile> slice_prof_;

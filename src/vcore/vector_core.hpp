@@ -113,7 +113,7 @@ class VectorCore {
   void apply_skip(std::uint64_t cycles, const WaitProfile& p);
 
   /// Enables/disables self-freezing (the per-tick O(1) replay of a cached
-  /// wait profile). Mirrors System's fast-path switch so LLAMCAT_NO_FASTPATH
+  /// wait profile). Set from SimConfig::fast_path, so turning that off
   /// disables every fast-path mechanism at once.
   void set_fast_path(bool on) {
     fast_path_ = on;

@@ -105,7 +105,8 @@ TEST(Mshr, AllocateMergeRelease) {
   EXPECT_EQ(m.add(line(1), {0, 10, false}, 0), Mshr::AddResult::kNewEntry);
   EXPECT_EQ(m.add(line(1), {1, 11, false}, 1), Mshr::AddResult::kMerged);
   EXPECT_EQ(m.occupancy(), 1u);
-  const auto targets = m.release(line(1));
+  std::vector<MshrTarget> targets;
+  m.release(line(1), targets);
   ASSERT_EQ(targets.size(), 2u);
   EXPECT_EQ(targets[0].req_id, 10u);
   EXPECT_EQ(targets[1].core, 1u);
@@ -136,7 +137,8 @@ TEST(Mshr, StoreTargetsTracked) {
   Mshr m(2, 4);
   m.add(line(7), {0, kStoreReqId, true}, 0);
   m.add(line(7), {1, 5, false}, 0);
-  const auto targets = m.release(line(7));
+  std::vector<MshrTarget> targets;
+  m.release(line(7), targets);
   EXPECT_TRUE(targets[0].is_store);
   EXPECT_FALSE(targets[1].is_store);
 }
@@ -157,6 +159,7 @@ class MshrDims
 TEST_P(MshrDims, NeverExceedsEitherDimension) {
   const auto [entries, targets] = GetParam();
   Mshr m(entries, targets);
+  std::vector<MshrTarget> released;
   Xoshiro256 rng(9);
   for (int i = 0; i < 2000; ++i) {
     const Addr l = line(rng.below(entries * 2));
@@ -166,7 +169,7 @@ TEST_P(MshrDims, NeverExceedsEitherDimension) {
       EXPECT_LE(e->targets.size(), targets);
     }
     if (r == Mshr::AddResult::kNoTargetFree && rng.below(2) == 0) {
-      m.release(l);
+      m.release(l, released);
     }
   }
 }

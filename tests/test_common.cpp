@@ -5,6 +5,8 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "common/config.hpp"
 #include "common/math_util.hpp"
@@ -191,6 +193,23 @@ TEST(Config, ValidationCatchesBadGeometry) {
     cfg.llc.bypass.keep_probability = p;
     EXPECT_THROW(cfg.validate(), std::invalid_argument) << p;
   }
+}
+
+TEST(Config, SentReqsDepthMustCoverTheLookupLifetime) {
+  // Table 5 latencies: hit 3 + mshr 5 = 8 cycles in the lookup pipeline.
+  SimConfig cfg = SimConfig::table5();
+  cfg.arb.sent_reqs_depth = 4;
+  try {
+    cfg.validate();
+    ADD_FAILURE() << "depth 4 < lifetime 8 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("sent_reqs_depth"), std::string::npos)
+        << e.what();
+  }
+  cfg.arb.sent_reqs_depth = 0;  // disabled
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.arb.sent_reqs_depth = 8;  // exactly the lifetime
+  EXPECT_NO_THROW(cfg.validate());
 }
 
 TEST(Config, PolicyNames) {

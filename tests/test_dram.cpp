@@ -2,6 +2,7 @@
 // controller, multi-channel system, clock-domain crossing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -63,18 +64,17 @@ TEST(AddressMap, StreamHasRowLocality) {
 TEST(Bank, ActivateReadPrechargeLegality) {
   const DramTiming t(test_cfg());
   Bank bank;
-  EXPECT_TRUE(bank.can_activate(0));
+  EXPECT_FALSE(bank.row_open());
+  EXPECT_EQ(bank.act_allowed(), 0u);
   bank.do_activate(0, 7, t);
-  EXPECT_TRUE(bank.row_open());
-  EXPECT_FALSE(bank.can_read(0, 7));          // before tRCD
-  EXPECT_TRUE(bank.can_read(t.tRCD, 7));      // at tRCD
-  EXPECT_FALSE(bank.can_read(t.tRCD, 8));     // wrong row
-  EXPECT_FALSE(bank.can_precharge(0));        // before tRAS
-  EXPECT_TRUE(bank.can_precharge(t.tRAS));
+  EXPECT_EQ(bank.open_row(), 7u);             // row 7 readable, row 8 not
+  EXPECT_EQ(bank.rd_allowed(), t.tRCD);       // RD from tRCD
+  EXPECT_EQ(bank.wr_allowed(), t.tRCD);
+  EXPECT_EQ(bank.pre_allowed(), t.tRAS);      // PRE from tRAS
   bank.do_precharge(t.tRAS, t);
   EXPECT_FALSE(bank.row_open());
-  EXPECT_FALSE(bank.can_activate(t.tRAS));            // before tRP
-  EXPECT_TRUE(bank.can_activate(t.tRAS + t.tRP));
+  // Next ACT: tRC after the ACT and tRP after the PRE.
+  EXPECT_EQ(bank.act_allowed(), std::max<DramTick>(t.tRC, t.tRAS + t.tRP));
 }
 
 TEST(Bank, WriteRecoveryBlocksPrecharge) {
@@ -83,8 +83,8 @@ TEST(Bank, WriteRecoveryBlocksPrecharge) {
   bank.do_activate(0, 1, t);
   bank.do_write(t.tRCD, t);
   const DramTick wr_done = t.tRCD + t.tCWL + t.tBurst + t.tWR;
-  EXPECT_FALSE(bank.can_precharge(wr_done - 1));
-  EXPECT_TRUE(bank.can_precharge(wr_done));
+  EXPECT_TRUE(bank.row_open());
+  EXPECT_EQ(bank.pre_allowed(), wr_done);
 }
 
 TEST(Rank, FawLimitsActivates) {
@@ -96,14 +96,14 @@ TEST(Rank, FawLimitsActivates) {
   RankState rank;
   DramTick now = 0;
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(rank.can_activate(now, t)) << i;
+    ASSERT_LE(rank.act_ready_at(t), now) << i;
     rank.on_activate(now, t);
     now += t.tRRD_S;
   }
-  // now = 16: tRRD is satisfied but only 4 ACTs fit in any tFAW window.
-  EXPECT_FALSE(rank.can_activate(now, t));
-  EXPECT_FALSE(rank.can_activate(31, t));
-  EXPECT_TRUE(rank.can_activate(t.tFAW, t));  // first ACT rolls out
+  // now = 16: tRRD is satisfied but only 4 ACTs fit in any tFAW window;
+  // the next ACT waits until the first one rolls out at tFAW = 32.
+  EXPECT_GT(rank.act_ready_at(t), now);
+  EXPECT_EQ(rank.act_ready_at(t), t.tFAW);
 }
 
 TEST(DramController, SingleReadCompletes) {

@@ -1,8 +1,8 @@
 // Fast-path equivalence suite: the event-driven skip-ahead and self-freeze
 // machinery (System fast path, on by default) must be an invisible
 // optimization. Every execution mode and a slice of the pinned fuzz corpus
-// run once with the fast path enabled and once with LLAMCAT_NO_FASTPATH=1,
-// and the two runs are compared through the same canonical digest the
+// run once with the fast path enabled and once with SimConfig::fast_path
+// off, and the two runs are compared through the same canonical digest the
 // serving fuzzer uses - byte-identity, not approximate equality. A third
 // suite pins the parallel sweep contract: llamcat_stress-style sweeps give
 // bit-identical results for any --jobs count.
@@ -29,9 +29,9 @@ using scenario::FuzzResult;
 using scenario::RequestBatch;
 using scenario::RequestSpec;
 
-/// Scoped environment knob. System reads LLAMCAT_NO_FASTPATH at
-/// construction and LLAMCAT_FASTPATH_STATS at run(), so setting either
-/// around a DecodePass run applies it to every System that run creates.
+/// Scoped environment knob. System reads LLAMCAT_FASTPATH_STATS at run(),
+/// so setting it around a DecodePass run applies it to every System that
+/// run creates.
 class ScopedEnv {
  public:
   explicit ScopedEnv(const char* name) : name_(name) {
@@ -71,26 +71,21 @@ struct ModeCase {
   void (*configure)(DecodePassConfig&);
 };
 
-std::string run_digest(const ModeCase& mc) {
+std::string run_digest(const ModeCase& mc, bool fast_path = true) {
   DecodePassConfig pc;
   pc.num_layers = 2;
   pc.include_gemv = false;
   mc.configure(pc);
   const RequestBatch batch(tiny_model(), mc.requests);
-  return scenario::batch_stats_digest(
-      DecodePass(batch, pc, small_config()).run());
+  SimConfig cfg = small_config();
+  cfg.fast_path = fast_path;
+  return scenario::batch_stats_digest(DecodePass(batch, pc, cfg).run());
 }
 
 class EveryModeFastpath : public ::testing::TestWithParam<ModeCase> {};
 
 TEST_P(EveryModeFastpath, FastPathOffIsByteIdenticalToOn) {
-  const std::string fast = run_digest(GetParam());
-  std::string slow;
-  {
-    ScopedEnv off("LLAMCAT_NO_FASTPATH");
-    slow = run_digest(GetParam());
-  }
-  EXPECT_EQ(fast, slow);
+  EXPECT_EQ(run_digest(GetParam()), run_digest(GetParam(), false));
 }
 
 const std::vector<RequestSpec> kBarrierBatch = {{0, 128, 0, 1}, {1, 256, 0, 2}};
@@ -169,18 +164,17 @@ TEST(HookedSkipWindows, SteppedCyclesArePinned) {
 // A slice of the pinned fuzz corpus (randomized machine/batch/policy
 // draws): the fast path must reproduce the disabled path byte for byte on
 // scenarios nobody hand-picked. The seeds match the corpus pinned in
-// tests/test_serving_fuzz.cpp.
+// tests/test_serving_fuzz.cpp. The whole fuzz contract runs a second time
+// on the stepped path.
 class FuzzCorpusFastpath : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FuzzCorpusFastpath, FastPathOffIsByteIdenticalToOn) {
   const std::uint64_t seed = GetParam();
   const FuzzResult fast = scenario::run_fuzz_seed(seed);
   EXPECT_TRUE(fast.ok()) << fast.violations.front();
-  FuzzResult slow;
-  {
-    ScopedEnv off("LLAMCAT_NO_FASTPATH");
-    slow = scenario::run_fuzz_seed(seed);
-  }
+  scenario::FuzzScenario sc = scenario::draw_scenario(seed);
+  sc.cfg.fast_path = false;
+  const FuzzResult slow = scenario::run_fuzz_scenario(seed, sc);
   EXPECT_TRUE(slow.ok()) << slow.violations.front();
   EXPECT_FALSE(fast.digest.empty());
   EXPECT_EQ(fast.digest, slow.digest);

@@ -159,6 +159,12 @@ TEST_P(ConfigFuzz, RandomMachinesCompleteAndConserve) {
   cfg.arb.policy = static_cast<ArbPolicy>(rng.below(8));
   cfg.arb.hit_buffer_depth = static_cast<std::uint32_t>(rng.below(64));
   cfg.arb.sent_reqs_depth = static_cast<std::uint32_t>(rng.below(32));
+  // validate() rejects a depth in [1, lifetime): raise such a draw to the
+  // lifetime, which keeps every other draw of the seed unchanged.
+  const std::uint32_t lifetime = cfg.llc.hit_latency + cfg.llc.mshr_latency;
+  if (cfg.arb.sent_reqs_depth != 0 && cfg.arb.sent_reqs_depth < lifetime) {
+    cfg.arb.sent_reqs_depth = lifetime;
+  }
   cfg.throttle.policy = static_cast<ThrottlePolicy>(rng.below(4));
   cfg.core.tb_dispatch = static_cast<TbDispatch>(rng.below(3));
   cfg.llc.bypass.policy = static_cast<BypassPolicy>(rng.below(4));
