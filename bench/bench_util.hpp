@@ -89,11 +89,13 @@ class JsonRows {
 /// that preserves every regime/shape but keeps the whole bench suite to
 /// minutes; each binary prints which scale it used.
 inline bool paper_scale() {
+  // lint:allow(ambient-env): a bench binary chooses its problem scale from its environment
   const char* v = std::getenv("LLAMCAT_PAPER_SCALE");
   return v != nullptr && std::string(v) == "1";
 }
 
 inline bool quick_scale() {
+  // lint:allow(ambient-env): a bench binary chooses its problem scale from its environment
   const char* v = std::getenv("LLAMCAT_QUICK");
   return v != nullptr && std::string(v) == "1";
 }

@@ -94,10 +94,10 @@ enum class TbDispatch : std::uint8_t {
   kGlobalQueue,          // dynamic single queue (idealized scheduler)
 };
 
-/// Request-aware dispatch for fused multi-request sources (CompositeTbSource
-/// tags each TbDesc with its serving request). Controls how co-resident
-/// requests share the cores; single-request sources behave identically
-/// under every mode.
+/// Request-aware dispatch for fused multi-request sources (a committed
+/// DynamicTbSource tags each TbDesc with its serving request). Controls how
+/// co-resident requests share the cores; single-request sources behave
+/// identically under every mode.
 enum class RequestDispatch : std::uint8_t {
   kShared,        // request-blind: TBs dealt in source order (default)
   kInterleave,    // dispatch order round-robins across requests, so every

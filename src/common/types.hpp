@@ -35,7 +35,7 @@ enum class AccessType : std::uint8_t { kLoad, kStore };
 inline constexpr std::uint32_t kNoRequest = 0xFFFFFFFF;
 
 /// Maps simulated addresses back to the serving request that owns them.
-/// Implemented by the trace layer's CompositeTbSource (requests occupy
+/// Implemented by the trace layer's DynamicTbSource (requests occupy
 /// disjoint 16 GiB address slots, so the mapping is exact); consumed by the
 /// LLC slices and the System to attribute shared-run statistics per request
 /// without threading tags through every in-flight message.

@@ -34,6 +34,10 @@ const std::vector<Rule>& rule_table() {
        "wall-clock reads (std::chrono ...::now(), time(), clock()) are "
        "nondeterministic; simulation time must come from the simulated "
        "clock (bench wall-clock measurement suppresses with a reason)"},
+      {"ambient-env",
+       "getenv()/secure_getenv() make behavior depend on the process "
+       "environment; switches are config fields, which tools fill from "
+       "their flags or environment (tools suppress with a reason)"},
       {"float-accumulation",
        "float/double accumulation inside an unordered-container loop makes "
        "the rounding depend on hash order even when the element set is "
@@ -397,6 +401,7 @@ class Analyzer {
     scan_pointer_keys();
     scan_ambient_rng();
     scan_wallclock();
+    scan_ambient_env();
     scan_config_structs();
     scan_raw_mutex();
     return std::move(findings_);
@@ -585,6 +590,21 @@ class Analyzer {
            t == "mktime") &&
           punct(i + 1, "(")) {
         add(toks_[i].line, "wallclock", t + "() reads the host clock");
+      }
+    }
+  }
+
+  // ambient-env: reads only. setenv/unsetenv change the environment a
+  // read would see and are not flagged themselves.
+  void scan_ambient_env() {
+    for (std::size_t i = 0; i < toks_.size(); ++i) {
+      if (!ident(i)) continue;
+      const std::string& t = toks_[i].text;
+      const bool member = i > 0 && (punct(i - 1, ".") || punct(i - 1, "->"));
+      if (member) continue;
+      if ((t == "getenv" || t == "secure_getenv") && punct(i + 1, "(")) {
+        add(toks_[i].line, "ambient-env",
+            t + "() reads the process environment");
       }
     }
   }

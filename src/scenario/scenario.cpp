@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 #include <optional>
@@ -520,11 +519,12 @@ BatchStats DecodePass::run_coscheduled(bool verbose) const {
   for (std::uint32_t step = 0; step < max_steps; ++step) {
     for (std::uint32_t layer = 0; layer < pass_cfg_.num_layers; ++layer) {
       for (const StageKind stage : stages) {
-        CompositeTbSource src(pass_cfg_.interleave);
+        DynamicTbSource src;
         for (const std::size_t i : wave_ops[wave_idx++]) {
           const ScheduledOp& op = schedule_[i];
           src.add(op.request_id, op.workload.op, op.workload.mapping);
         }
+        src.commit(pass_cfg_.interleave);
         std::string name;
         if (max_steps > 1) {
           name += "s";
@@ -630,9 +630,7 @@ class ServingEngine {
     // In-engine ledger auditor (invariants.hpp): every serving event below
     // reports itself so a KV-conservation break throws on the cycle it
     // happens. Off by default - it adds no stats and changes no behavior.
-    const char* audit_env = std::getenv("LLAMCAT_AUDIT");
-    if (pass_cfg.audit || (audit_env != nullptr && *audit_env != '\0' &&
-                           *audit_env != '0')) {
+    if (pass_cfg.audit) {
       auditor_.emplace(pass_cfg.serving.kv_budget_bytes,
                        pool_.config().block_bytes, paged_,
                        layouts(batch, pass_cfg));

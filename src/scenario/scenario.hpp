@@ -10,11 +10,12 @@
 //    thread-pool harness); per-request stats are sums of isolated runs.
 //    Requests never contend - an optimistic upper bound.
 //  - kCoScheduled: per layer-stage wave, the batch's operators are fused
-//    into one CompositeTbSource and run through a single shared System, so
-//    co-resident requests genuinely contend for cores, the shared LLC and
-//    DRAM. Per-request stats come from address-slot attribution of that
-//    shared run (RequestSlice). Every wave is a barrier: a short request
-//    waits for the batch's longest member before its next stage starts.
+//    into one committed DynamicTbSource and run through a single shared
+//    System, so co-resident requests genuinely contend for cores, the
+//    shared LLC and DRAM. Per-request stats come from address-slot
+//    attribution of that shared run (RequestSlice). Every wave is a
+//    barrier: a short request waits for the batch's longest member before
+//    its next stage starts.
 //  - kContinuous: one long-lived streaming System per decode pass, fed by a
 //    DynamicTbSource. Each request's next operator is enqueued the moment
 //    its own previous operator's thread blocks complete (while other
@@ -44,7 +45,7 @@
 #include "scenario/serving.hpp"
 #include "sim/experiment.hpp"
 #include "sim/sim_stats.hpp"
-#include "trace/composite.hpp"
+#include "trace/dynamic_source.hpp"
 #include "trace/operator.hpp"
 
 namespace llamcat::scenario {
@@ -149,7 +150,7 @@ struct DecodePassConfig {
   std::uint64_t gemv_rows = 0;
   std::uint32_t gemv_cols = 0;
   ExecutionMode mode = ExecutionMode::kIndependent;
-  /// kCoScheduled: how each wave's CompositeTbSource interleaves the
+  /// kCoScheduled: how each wave's DynamicTbSource commit interleaves the
   /// requests' thread blocks.
   FuseOrder interleave = FuseOrder::kRoundRobin;
   /// kContinuous: the serving-policy layer (admission queue by KV budget,
@@ -159,7 +160,7 @@ struct DecodePassConfig {
   /// kContinuous: feed every serving event (admit/resume/evict/finish)
   /// through the in-engine ledger auditor (scenario/invariants.hpp), which
   /// throws InvariantViolation on the cycle an invariant breaks. Stats are
-  /// unaffected either way. LLAMCAT_AUDIT=1 in the environment forces it on.
+  /// unaffected either way. llamcat_cli sets it from LLAMCAT_AUDIT=1.
   bool audit = false;
 
   /// Throws std::invalid_argument on an inconsistent pass shape; delegates

@@ -307,6 +307,7 @@ SimStats System::run(const AdmissionHook& admission) {
   // taken, windows skipped, cycles skipped) - a debugging aid only; it
   // never touches simulation state.
   const bool fp_stats = [] {
+    // lint:allow(ambient-env): perfbench parses the stderr line this arms
     const char* e = std::getenv("LLAMCAT_FASTPATH_STATS");
     return e != nullptr && e[0] == '1';
   }();

@@ -2,9 +2,26 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace llamcat {
+
+OperatorSpec shift_to_slot(OperatorSpec spec, std::uint64_t slot) {
+  const Addr delta = static_cast<Addr>(slot) * kSlotStride;
+  spec.q_base += delta;
+  spec.kv_base += delta;
+  spec.s_base += delta;
+  spec.out_base += delta;
+  return spec;
+}
+
+NameTable<FuseOrder> enum_names(FuseOrder) {
+  static constexpr EnumName<FuseOrder> kNames[] = {
+      {FuseOrder::kRoundRobin, "round-robin"}, {FuseOrder::kRoundRobin, "rr"},
+      {FuseOrder::kConcat, "concat"}};
+  return kNames;
+}
 
 std::uint32_t DynamicTbSource::dense_of(std::uint32_t request_id) {
   const auto [it, inserted] = request_index_.try_emplace(
@@ -25,10 +42,32 @@ void DynamicTbSource::add(std::uint32_t request_id, OperatorSpec spec,
                                 std::to_string(request_id) +
                                 " was already retired");
   }
-  claim_operator_slots(slot_owner_, dense, request_id, request_ids_, spec);
+  claim_slots(dense, spec);
   staged_.push_back(static_cast<std::uint32_t>(gens_.size()));
   gens_.push_back(std::make_unique<TraceGen>(std::move(spec), mapping));
   op_request_id_.push_back(request_id);
+}
+
+void DynamicTbSource::claim_slots(std::uint32_t dense,
+                                  const OperatorSpec& spec) {
+  const auto claim = [&](Addr base, std::uint64_t bytes) {
+    const std::uint64_t first = base / kSlotStride;
+    const std::uint64_t last = (base + (bytes ? bytes - 1 : 0)) / kSlotStride;
+    for (std::uint64_t s = first; s <= last; ++s) {
+      const auto [slot_it, fresh] = slot_owner_.try_emplace(s, dense);
+      if (!fresh && slot_it->second != dense) {
+        throw std::invalid_argument(
+            "fused trace source: address slot " + std::to_string(s) +
+            " aliased by requests " +
+            std::to_string(request_ids_[slot_it->second]) + " and " +
+            std::to_string(request_ids_[dense]));
+      }
+    }
+  };
+  claim(spec.q_base, spec.q_bytes());
+  claim(spec.kv_base, spec.kv_bytes());
+  claim(spec.s_base, spec.s_bytes());
+  claim(spec.out_base, spec.q_bytes());  // O has Q's shape
 }
 
 std::uint64_t DynamicTbSource::commit(FuseOrder order) {

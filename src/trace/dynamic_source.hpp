@@ -1,19 +1,19 @@
-// Append-only multi-request trace source for the continuous-batching engine.
-// Unlike CompositeTbSource (whose operator set is fixed before the System is
-// built), a DynamicTbSource grows while a System is running: the streaming
-// executor stages a request's next-stage operator with add() the moment its
-// previous stage completes, commits the staged batch (optionally
-// interleaving simultaneously staged operators round-robin, exactly like
-// CompositeTbSource fuses a wave), and the scheduler picks the new thread
-// blocks up through TbScheduler::sync_with_source(). Committed thread-block
-// indices are stable forever, so in-flight work is never invalidated.
+// The multi-request trace source: fuses the thread blocks of many
+// per-operator TraceGens into one dispatch list, so one System run
+// co-schedules concurrent requests against the shared LLC. add() stages an
+// operator; commit() appends the staged operators' thread blocks,
+// optionally interleaved round-robin. A fixed co-scheduled wave is one
+// commit before the System is built. The continuous-batching engine keeps
+// growing the source while its System runs: it stages a request's next
+// operator the moment the previous one completes, commits, and the
+// scheduler picks the new blocks up through TbScheduler::sync_with_source().
+// Committed thread-block indices are stable forever.
 //
-// Requests occupy disjoint 16 GiB address slots (see kSlotStride), which
-// keeps address -> request attribution exact across admissions and
-// retirements: retire_request() releases a finished request's instruction
-// streams (bounding memory over a long stream) but keeps its slot ownership
-// and dense index, so late writebacks of its lines still attribute
-// correctly.
+// Requests occupy disjoint 16 GiB address slots (see kSlotStride), so the
+// source doubles as the exact IRequestTagger that splits shared-run stats
+// per request. retire_request() releases a finished request's instruction
+// streams but keeps its slot ownership and dense index, so late writebacks
+// of its lines still attribute correctly.
 #pragma once
 
 #include <cstdint>
@@ -21,13 +21,31 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "common/types.hpp"
-#include "trace/composite.hpp"
 #include "trace/mapping.hpp"
 #include "trace/operator.hpp"
 #include "trace/tracegen.hpp"
 
 namespace llamcat {
+
+/// Address-space stride between operator slots. Every operator of a slot has
+/// all four tensor bases shifted by slot * kSlotStride, so distinct
+/// requests/layers occupy distinct DRAM rows (and hash to different LLC
+/// slices) without perturbing the intra-operator layout the defaults encode.
+inline constexpr Addr kSlotStride = 0x4'0000'0000;  // 16 GiB
+
+/// Relocates all four tensor bases of `spec` into address slot `slot`.
+OperatorSpec shift_to_slot(OperatorSpec spec, std::uint64_t slot);
+
+/// How commit() interleaves the staged operators' thread blocks.
+enum class FuseOrder : std::uint8_t {
+  kRoundRobin,  // one TB from each operator in turn: requests co-resident
+  kConcat,      // operator-major: requests drain mostly back-to-back
+};
+
+/// Name table (common/enum_names.hpp): canonical name first, then aliases.
+NameTable<FuseOrder> enum_names(FuseOrder);
 
 class DynamicTbSource final : public ITbSource, public IRequestTagger {
  public:
@@ -83,6 +101,12 @@ class DynamicTbSource final : public ITbSource, public IRequestTagger {
   };
 
   [[nodiscard]] std::uint32_t dense_of(std::uint32_t request_id);
+
+  /// Registers every address slot `spec`'s tensors touch as owned by dense
+  /// request `dense`. Slots are the attribution granule, so two requests
+  /// sharing one slot would make their stats indistinguishable: throws
+  /// std::invalid_argument if a slot is already owned by another request.
+  void claim_slots(std::uint32_t dense, const OperatorSpec& spec);
 
   std::vector<std::unique_ptr<TraceGen>> gens_;
   std::vector<std::uint32_t> op_request_id_;  // per op: external request id

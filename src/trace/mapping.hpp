@@ -28,7 +28,7 @@ NameTable<TbOrder> enum_names(TbOrder);
 /// One thread block: a contiguous L-range of one (h, g) pair.
 ///
 /// `request_id` / `source_op` record provenance when thread blocks of
-/// several operators are fused into one dispatch list (CompositeTbSource):
+/// several operators are fused into one dispatch list (DynamicTbSource):
 /// the serving request the block belongs to and the index of its operator
 /// within the fused source. Single-operator sources leave both at 0.
 struct TbDesc {

@@ -7,12 +7,12 @@
 // kPartitionedStealing reproduces that scheme (default). kGlobalQueue is a
 // dynamic single-queue dispatcher kept for ablation studies.
 //
-// For fused multi-request sources (CompositeTbSource) the scheduler is
-// additionally request-aware: it reads each TbDesc's request tag, tracks
-// per-request dispatch/completion, and supports RequestDispatch modes that
-// either interleave co-resident requests across every core or pin each
-// request to its own contiguous core group (stealing stays inside the
-// group, so requests contend only in the shared LLC and DRAM).
+// For fused multi-request sources (a committed DynamicTbSource) the
+// scheduler is additionally request-aware: it reads each TbDesc's request
+// tag, tracks per-request dispatch/completion, and supports RequestDispatch
+// modes that either interleave co-resident requests across every core or
+// pin each request to its own contiguous core group (stealing stays inside
+// the group, so requests contend only in the shared LLC and DRAM).
 //
 // For growing sources (DynamicTbSource, the continuous-batching engine) the
 // scheduler additionally supports mid-run injection: sync_with_source()

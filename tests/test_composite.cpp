@@ -1,11 +1,12 @@
-// CompositeTbSource: slot shifting, interleaving, provenance tags, address
-// attribution, and the key equivalence - a single-operator composite run
+// A fixed co-scheduled wave - a DynamicTbSource with every operator added
+// and then one commit(order): slot shifting, interleaving, provenance tags,
+// address attribution, and the key equivalence - a single-operator wave run
 // through System is bit-identical to the plain TraceGen run.
 #include <gtest/gtest.h>
 
 #include "sim/experiment.hpp"
 #include "sim/system.hpp"
-#include "trace/composite.hpp"
+#include "trace/dynamic_source.hpp"
 
 namespace llamcat {
 namespace {
@@ -38,14 +39,15 @@ TEST(ShiftToSlot, MovesEveryTensorBaseBySlotStride) {
   EXPECT_EQ(shift_to_slot(base, 0).kv_base, base.kv_base);
 }
 
-TEST(CompositeTbSource, RoundRobinInterleavesAndTagsProvenance) {
+TEST(FusedWave, RoundRobinInterleavesAndTagsProvenance) {
   const SimConfig cfg = small_config();
   const Workload a = Workload::logit(tiny_model(), 128, cfg);
   const Workload b = Workload::logit(tiny_model(), 256, cfg);
 
-  CompositeTbSource src(FuseOrder::kRoundRobin);
+  DynamicTbSource src;
   src.add(10, shift_to_slot(a.op, 0), a.mapping);
   src.add(20, shift_to_slot(b.op, 1), b.mapping);
+  src.commit(FuseOrder::kRoundRobin);
 
   const TraceGen ga(shift_to_slot(a.op, 0), a.mapping);
   const TraceGen gb(shift_to_slot(b.op, 1), b.mapping);
@@ -73,24 +75,26 @@ TEST(CompositeTbSource, RoundRobinInterleavesAndTagsProvenance) {
   EXPECT_EQ(src.tb(src.num_tbs() - 1).request_id, 20u);
 }
 
-TEST(CompositeTbSource, ConcatKeepsOperatorMajorOrder) {
+TEST(FusedWave, ConcatKeepsOperatorMajorOrder) {
   const SimConfig cfg = small_config();
   const Workload a = Workload::logit(tiny_model(), 128, cfg);
-  CompositeTbSource src(FuseOrder::kConcat);
+  DynamicTbSource src;
   src.add(0, shift_to_slot(a.op, 0), a.mapping);
   src.add(1, shift_to_slot(a.op, 1), a.mapping);
+  src.commit(FuseOrder::kConcat);
   const std::uint64_t half = src.num_tbs() / 2;
   for (std::uint64_t i = 0; i < src.num_tbs(); ++i) {
     EXPECT_EQ(src.tb(i).request_id, i < half ? 0u : 1u);
   }
 }
 
-TEST(CompositeTbSource, AttributesAddressesToOwningRequest) {
+TEST(FusedWave, AttributesAddressesToOwningRequest) {
   const SimConfig cfg = small_config();
   const Workload a = Workload::logit(tiny_model(), 128, cfg);
-  CompositeTbSource src(FuseOrder::kRoundRobin);
+  DynamicTbSource src;
   src.add(5, shift_to_slot(a.op, 0), a.mapping);
   src.add(9, shift_to_slot(a.op, 2), a.mapping);
+  src.commit(FuseOrder::kRoundRobin);
 
   ASSERT_EQ(src.num_requests(), 2u);
   EXPECT_EQ(src.request_id_at(0), 5u);
@@ -102,28 +106,32 @@ TEST(CompositeTbSource, AttributesAddressesToOwningRequest) {
   EXPECT_EQ(src.request_index_of(a.op.kv_base + 3 * kSlotStride), kNoRequest);
 }
 
-TEST(CompositeTbSource, RejectsSlotAliasingAcrossRequests) {
+TEST(FusedWave, RejectsSlotAliasingAcrossRequests) {
   const SimConfig cfg = small_config();
   const Workload a = Workload::logit(tiny_model(), 128, cfg);
-  CompositeTbSource src;
+  DynamicTbSource src;
   src.add(0, shift_to_slot(a.op, 0), a.mapping);
   // Same request may share its slot (logit + attend of one layer)...
   EXPECT_NO_THROW(src.add(0, shift_to_slot(a.op, 0), a.mapping));
   // ...another request may not: attribution would be ambiguous.
   EXPECT_THROW(src.add(1, shift_to_slot(a.op, 0), a.mapping),
                std::invalid_argument);
+  // The rejected operator was not staged: the wave holds request 0's two.
+  EXPECT_EQ(src.num_ops(), 2u);
+  src.commit(FuseOrder::kRoundRobin);
 }
 
-// The load-bearing equivalence: one operator fused "alone" and run through
+// The load-bearing equivalence: one operator committed alone and run through
 // System must reproduce the plain single-source simulation exactly - this
 // anchors coscheduled == independent at batch size 1.
-TEST(CompositeTbSource, SingleOpSystemRunMatchesPlainRun) {
+TEST(FusedWave, SingleOpSystemRunMatchesPlainRun) {
   const SimConfig cfg = small_config();
   const Workload wl = Workload::logit(tiny_model(), 128, cfg);
   const SimStats plain = run_simulation(cfg, wl);
 
-  CompositeTbSource src(FuseOrder::kRoundRobin);
+  DynamicTbSource src;
   src.add(0, wl.op, wl.mapping);
+  src.commit(FuseOrder::kRoundRobin);
   System sys(cfg, src, &src);
   const SimStats fused = sys.run();
 

@@ -5,7 +5,7 @@
 #include <set>
 #include <sstream>
 
-#include "trace/composite.hpp"
+#include "trace/dynamic_source.hpp"
 #include "trace/mapper.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/tracegen.hpp"
@@ -226,9 +226,10 @@ TEST(TraceIo, RoundTripPreservesRequestProvenance) {
   model.group_size = 2;
   Mapping m;
   m.l_tile = 32;
-  CompositeTbSource src(FuseOrder::kRoundRobin);
+  DynamicTbSource src;
   src.add(4, shift_to_slot(OperatorSpec::logit(model, 64), 0), m);
   src.add(9, shift_to_slot(OperatorSpec::logit(model, 64), 1), m);
+  src.commit(FuseOrder::kRoundRobin);
 
   std::stringstream ss;
   write_trace(ss, src);

@@ -45,7 +45,7 @@ class SyntheticSource final : public ITbSource {
   std::uint32_t compute_;
 };
 
-// A source whose TBs carry explicit request tags (as CompositeTbSource
+// A source whose TBs carry explicit request tags (as a DynamicTbSource
 // produces); tags are assigned from `request_ids` in TB order.
 class TaggedSource final : public ITbSource {
  public:

@@ -18,6 +18,7 @@
 //   llamcat_cli --op=batch --mode=continuous --traffic=poisson \
 //       --requests=8 --traffic-gap=50000 --trace-out=run.trace
 //   llamcat_cli --op=batch --mode=continuous --trace-in=run.trace --digest
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -228,8 +229,15 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << parsed.error << "\n\n" << cli_usage();
     return 2;
   }
+  CliOptions opt = *parsed.options;
+  // LLAMCAT_AUDIT=1 arms the in-engine ledger auditor of a continuous pass.
+  // lint:allow(ambient-env): the CLI maps its environment onto a config field
+  const char* audit_env = std::getenv("LLAMCAT_AUDIT");
+  if (audit_env != nullptr && *audit_env != '\0' && *audit_env != '0') {
+    opt.pass.audit = true;
+  }
   try {
-    return run(*parsed.options);
+    return run(opt);
   } catch (const std::exception& e) {
     std::cerr << "simulation failed: " << e.what() << "\n";
     return 1;
