@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
                 "p99 lat", "wait", "pre", "admit order"});
 
   // All (policy x variant) points are independent runs: fan them out
-  // across the ThreadPool, then emit tables/JSON serially in sweep order.
+  // with parallel_map, then emit tables/JSON serially in sweep order.
   struct Point {
     const NamedPolicy* p;
     const ServingVariant* v;
@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
   for (const NamedPolicy& p : policies) {
     for (const ServingVariant& v : variants()) points.push_back({&p, &v});
   }
-  const auto stats = run_points_parallel(points.size(), [&](std::size_t i) {
+  const auto stats = parallel_map(points.size(), 0, [&](std::size_t i) {
     return run_variant(batch, contention_config(points[i].p->thr,
                                                 points[i].p->arb),
                        layers, *points[i].v, budget);
@@ -241,7 +241,7 @@ int main(int argc, char** argv) {
     }
   }
   const auto serial_stats =
-      run_points_parallel(serial_points.size(), [&](std::size_t i) {
+      parallel_map(serial_points.size(), 0, [&](std::size_t i) {
         return run_variant(serial,
                            contention_config(serial_points[i].p->thr,
                                              serial_points[i].p->arb),

@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
                 "cos l2_hit", "req spread"});
 
   // Every (policy x batch) point is a pair of independent runs: fan the
-  // points out across the ThreadPool and emit serially in sweep order.
+  // points out with parallel_map and emit serially in sweep order.
   struct Point {
     const NamedPolicy* p;
     std::uint32_t n;
@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
     BatchStats ind;
     BatchStats cos;
   };
-  const auto stats = run_points_parallel(points.size(), [&](std::size_t i) {
+  const auto stats = parallel_map(points.size(), 0, [&](std::size_t i) {
     const SimConfig cfg =
         contention_config(points[i].p->thr, points[i].p->arb);
     const RequestBatch batch =

@@ -139,11 +139,11 @@ int main(int argc, char** argv) {
     for (const ServingVariant& v : variants()) curves.push_back({&p, &v, {}});
   }
   // Each curve runs its ladder serially (the points of one curve share
-  // nothing); the curves fan out across the pool. Flattening to per-point
+  // nothing); the curves fan out with parallel_map. Flattening to per-point
   // tasks would also work - curves are few and similar-sized, so this
   // keeps the code flat without losing wall-clock.
   const auto all_points =
-      run_points_parallel(curves.size(), [&](std::size_t i) {
+      parallel_map(curves.size(), 0, [&](std::size_t i) {
         DecodePassConfig pc;
         pc.num_layers = layers;
         pc.include_gemv = false;
@@ -153,8 +153,7 @@ int main(int argc, char** argv) {
         pc.serving.preempt = curves[i].v->preempt;
         return run_load_sweep(
             bench_model(),
-            contention_config(curves[i].p->thr, curves[i].p->arb), pc, sweep,
-            /*jobs=*/1);
+            contention_config(curves[i].p->thr, curves[i].p->arb), pc, sweep);
       });
   for (std::size_t i = 0; i < curves.size(); ++i) {
     curves[i].points = all_points[i];

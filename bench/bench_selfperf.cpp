@@ -92,8 +92,9 @@ std::vector<Scenario> matrix() {
     {"barrier_coscheduled",
      {{0, 512, 0, 1}, {1, 256, 0, 1}, {2, 128, 0, 1}, {3, 128, 0, 1}},
      [](DecodePassConfig& pc) { pc.mode = ExecutionMode::kCoScheduled; }},
-    // Isolated per-operator runs (the thread-pool harness, pinned to one
-    // worker so the row measures engine speed, not host cores).
+    // Isolated per-operator runs (run_experiments at run(1), which keeps
+    // every run in the caller's thread so the row measures engine speed,
+    // not host cores).
     {"independent",
      {{0, 512, 0, 1}, {1, 256, 0, 1}, {2, 128, 0, 1}, {3, 128, 0, 1}},
      [](DecodePassConfig& pc) { pc.mode = ExecutionMode::kIndependent; }},

@@ -7,7 +7,6 @@
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 #include "common/math_util.hpp"
@@ -159,27 +158,6 @@ inline std::vector<std::vector<SimStats>> run_grid(
         results[k++].stats);
   }
   return grid;
-}
-
-/// Runs `n` independent sweep points across the ThreadPool (0 = hardware
-/// concurrency) and returns the results indexed by point. fn(i) writes its
-/// pre-sized slot i, so the output is bit-identical to the serial loop
-/// regardless of which worker finishes first - the same contract as
-/// run_experiments and run_fuzz_sweep. Each point must itself be a
-/// single-threaded deterministic run (every System is). On failure the
-/// TaskGroup rethrows the lowest-indexed point's exception, matching what
-/// the serial loop would have thrown first.
-template <typename Fn>
-auto run_points_parallel(std::size_t n, Fn&& fn, std::size_t threads = 0) {
-  using R = std::invoke_result_t<Fn&, std::size_t>;
-  std::vector<R> out(n);
-  ThreadPool pool(threads);
-  TaskGroup group(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    group.run(pool, i, [&out, &fn, i] { out[i] = fn(i); });
-  }
-  group.wait();
-  return out;
 }
 
 inline std::string seq_label(std::uint64_t L) {

@@ -3,6 +3,7 @@
 // motivates - KV-cache-bound decode - extended past the paper's Logit-only
 // evaluation to the full attention pipeline and to several GQA geometries.
 #include <iostream>
+#include <vector>
 
 #include "sim/energy.hpp"
 #include "sim/experiment.hpp"
@@ -26,14 +27,21 @@ int main() {
        {ModelShape::llama3_8b(), ModelShape::llama3_70b(),
         ModelShape::llama3_405b(), ModelShape::gemma2_27b()}) {
     for (const SimConfig& cfg : {base, tuned}) {
-      const auto step = decode_attention_step(model, L, cfg);
-      const PipelineResult r = run_pipeline(cfg, step);
-
+      // The stages run on fresh machines, independently: the step's
+      // cycles, time and energy are the sums over its stages.
+      std::vector<ExperimentSpec> specs;
+      for (Workload& wl : decode_attention_step(model, L, cfg)) {
+        specs.push_back({to_string(wl.op.kind), cfg, std::move(wl)});
+      }
+      Cycle cycles = 0;
+      double seconds = 0.0;
       double energy_j = 0.0;
-      for (const auto& op : r.ops) {
+      for (const ExperimentResult& op : run_experiments(specs)) {
+        cycles += op.stats.cycles;
+        seconds += op.stats.seconds();
         energy_j += estimate_energy(EnergyConfig{}, cfg, op.stats).total_j();
       }
-      const double ms = r.total_seconds() * 1e3;
+      const double ms = seconds * 1e3;
       std::cout.setf(std::ios::left);
       std::cout.width(13);
       std::cout << model.name;
@@ -41,7 +49,7 @@ int main() {
       std::cout << (cfg.throttle.policy == ThrottlePolicy::kNone ? "unopt"
                                                                  : "dynmg+BMA");
       std::cout.width(11);
-      std::cout << r.total_cycles();
+      std::cout << cycles;
       std::cout.width(10);
       std::cout << ms;
       std::cout.width(10);

@@ -11,17 +11,6 @@
 
 namespace llamcat {
 
-// ---------------------------------------------------------------------------
-// Cache policy vocabulary (paper §5: "Add cache policies like allocate-on-
-// fill, write-no-allocate, write-through, while originally Ramulator2 only
-// supports allocate-on-miss, write-allocate, write-back").
-// ---------------------------------------------------------------------------
-
-enum class WriteHitPolicy : std::uint8_t { kWriteBack, kWriteThrough };
-enum class WriteMissPolicy : std::uint8_t { kWriteAllocate, kWriteNoAllocate };
-/// When a missing line is installed: on miss issue (reserving early) or on
-/// fill return (paper's LLC and L1 both use allocate-on-fill).
-enum class FillPolicy : std::uint8_t { kAllocOnMiss, kAllocOnFill };
 /// Insertion position for newly filled lines. kStreaming inserts at LRU so
 /// single-use streaming data (the K tensor) does not evict reused data.
 /// Under kSrrip replacement, kMru inserts at RRPV=2 ("long" re-reference)
@@ -207,6 +196,10 @@ struct CoreConfig {
   void validate() const;
 };
 
+/// Private per-core L1. Its write and fill policies are fixed, not
+/// configurable: write-through, write-no-allocate, allocate-on-fill (Table 5;
+/// paper §5 adds these to Ramulator2, which originally supports only
+/// allocate-on-miss, write-allocate, write-back).
 struct L1Config {
   std::uint64_t size_bytes = 64 * 1024;
   std::uint32_t assoc = 8;
@@ -218,14 +211,13 @@ struct L1Config {
   std::uint32_t miss_queue_entries = 512;
   InsertPolicy insert = InsertPolicy::kStreaming;
   ReplPolicy repl = ReplPolicy::kLru;
-  WriteHitPolicy write_hit = WriteHitPolicy::kWriteThrough;
-  WriteMissPolicy write_miss = WriteMissPolicy::kWriteNoAllocate;
-  FillPolicy fill = FillPolicy::kAllocOnFill;
 
   /// Throws std::invalid_argument when the cache geometry is inconsistent.
   void validate() const;
 };
 
+/// Shared, sliced LLC. Its write and fill policies are fixed, not
+/// configurable: write-back, write-allocate, allocate-on-fill (Table 5).
 struct LlcConfig {
   std::uint64_t size_bytes = 16ull * 1024 * 1024;
   std::uint32_t assoc = 8;
@@ -239,9 +231,6 @@ struct LlcConfig {
   std::uint32_t resp_q_size = 64;
   InsertPolicy insert = InsertPolicy::kMru;
   ReplPolicy repl = ReplPolicy::kLru;
-  WriteHitPolicy write_hit = WriteHitPolicy::kWriteBack;
-  WriteMissPolicy write_miss = WriteMissPolicy::kWriteAllocate;
-  FillPolicy fill = FillPolicy::kAllocOnFill;
   RespArbPolicy resp_arb = RespArbPolicy::kResponseFirst;
   /// kRequestFirst / COBRRA: responses preempt once resp-queue occupancy
   /// reaches this fraction.

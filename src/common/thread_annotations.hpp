@@ -4,7 +4,7 @@
 // contract: data members carry GUARDED_BY(mu), functions declare
 // REQUIRES/ACQUIRE/RELEASE, and the analysis rejects any access path that
 // cannot prove the right capability is held. The repo's parallel surface
-// (ThreadPool, TaskGroup, the sharded KvBlockPool) is annotated with these
+// (ThreadPool and TaskGroup, under parallel_map) is annotated with these
 // macros and CI builds it with clang -Wthread-safety -Werror; under gcc the
 // macros expand to nothing and the code is unchanged.
 //

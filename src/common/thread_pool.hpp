@@ -1,19 +1,20 @@
-// Fixed-size thread pool used to run independent simulations in parallel
-// (each simulation itself is single-threaded and deterministic), plus the
-// TaskGroup latch the sweep drivers use to join a batch of slot-indexed
-// jobs with deterministic exception propagation.
+// parallel_map: the one fan-out for a batch of independent runs (each
+// simulation itself is single-threaded and deterministic), built on a
+// fixed-size ThreadPool and the TaskGroup latch that joins the batch with
+// deterministic exception propagation.
 //
 // Both classes are built on the annotated primitives in common/sync.hpp,
 // so clang -Wthread-safety machine-checks every access to the queue and
 // the latch counters.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <exception>
 #include <functional>
-#include <future>
 #include <queue>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/sync.hpp"
@@ -33,17 +34,6 @@ class ThreadPool {
   /// Schedules `fn` with no result channel. Pair with a TaskGroup (or
   /// other external completion signal) to join and observe exceptions.
   void post(std::function<void()> fn) EXCLUDES(mu_);
-
-  /// Schedules `fn` and returns a future for its result.
-  template <typename Fn>
-  auto submit(Fn&& fn) -> std::future<std::invoke_result_t<Fn>> {
-    using R = std::invoke_result_t<Fn>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<Fn>(fn));
-    std::future<R> fut = task->get_future();
-    post([task] { (*task)(); });
-    return fut;
-  }
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
@@ -88,5 +78,30 @@ class TaskGroup {
   /// Slot-indexed; written once by the owning job, read after the latch.
   std::vector<std::exception_ptr> errors_ GUARDED_BY(mu_);
 };
+
+/// Runs fn(0) .. fn(n-1) and returns their results indexed by i. `jobs` is
+/// the worker count: 0 = hardware concurrency, 1 = every call in the
+/// caller's thread, in index order (as is any range of at most one item).
+/// Each call writes its own pre-sized slot, so the result is bit-identical
+/// to the serial loop regardless of which worker finishes first; each call
+/// must itself be a single-threaded deterministic run (every System is).
+/// On failure the lowest-indexed exception is rethrown - the one the serial
+/// loop would have thrown first. R must be default-constructible.
+template <typename Fn>
+auto parallel_map(std::size_t n, std::size_t jobs, Fn&& fn) {
+  using R = std::invoke_result_t<Fn&, std::size_t>;
+  std::vector<R> out(n);
+  if (jobs == 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = fn(i);
+    return out;
+  }
+  ThreadPool pool(std::min(jobs, n));  // min(0, n) keeps "0 = hardware"
+  TaskGroup group(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    group.run(pool, i, [&out, &fn, i] { out[i] = fn(i); });
+  }
+  group.wait();
+  return out;
+}
 
 }  // namespace llamcat

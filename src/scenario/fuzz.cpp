@@ -419,25 +419,9 @@ FuzzResult run_fuzz_scenario(std::uint64_t seed, const FuzzScenario& sc) {
 
 std::vector<FuzzResult> run_fuzz_sweep(std::uint64_t base_seed,
                                        std::uint64_t n, std::size_t jobs) {
-  std::vector<FuzzResult> results(n);
-  if (jobs == 1) {
-    for (std::uint64_t i = 0; i < n; ++i) {
-      results[i] = run_fuzz_seed(base_seed + i);
-    }
-    return results;
-  }
-  // Each seed writes its own pre-sized slot, so the result vector is
-  // identical to the serial sweep no matter which worker finishes first;
-  // the TaskGroup rethrows the lowest seed's exception, matching the
-  // serial loop's failure order.
-  ThreadPool pool(jobs);
-  TaskGroup group(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    group.run(pool, i,
-              [&results, base_seed, i] { results[i] = run_fuzz_seed(base_seed + i); });
-  }
-  group.wait();
-  return results;
+  return parallel_map(n, jobs, [base_seed](std::size_t i) {
+    return run_fuzz_seed(base_seed + i);
+  });
 }
 
 }  // namespace llamcat::scenario

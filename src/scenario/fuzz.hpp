@@ -86,11 +86,10 @@ struct FuzzResult {
 [[nodiscard]] FuzzResult run_fuzz_scenario(std::uint64_t seed,
                                            const FuzzScenario& sc);
 
-/// Runs seeds base_seed .. base_seed+n-1 across `jobs` worker threads
-/// (0 = hardware concurrency, 1 = in-caller serial execution). Every run
-/// is an independent single-threaded simulation and results land in
-/// pre-assigned seed-order slots, so the returned vector is bit-identical
-/// to a serial sweep regardless of thread interleaving.
+/// Runs seeds base_seed .. base_seed+n-1 through parallel_map, `jobs`-wide
+/// (0 = hardware concurrency, 1 = in the caller's thread). Results come
+/// back in seed order, bit-identical to a serial sweep regardless of
+/// thread interleaving.
 [[nodiscard]] std::vector<FuzzResult> run_fuzz_sweep(std::uint64_t base_seed,
                                                      std::uint64_t n,
                                                      std::size_t jobs = 1);

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "common/thread_pool.hpp"
-
 namespace llamcat::scenario {
 
 void SweepConfig::validate() const {
@@ -67,26 +65,13 @@ SweepPoint run_one_point(const ModelShape& model, const SimConfig& cfg,
 std::vector<SweepPoint> run_load_sweep(const ModelShape& model,
                                        const SimConfig& cfg,
                                        const DecodePassConfig& pass_cfg,
-                                       const SweepConfig& sweep,
-                                       std::size_t jobs) {
+                                       const SweepConfig& sweep) {
   sweep.validate();
-  std::vector<SweepPoint> points(sweep.gaps.size());
-  if (jobs == 1) {
-    for (std::size_t i = 0; i < sweep.gaps.size(); ++i) {
-      points[i] = run_one_point(model, cfg, pass_cfg, sweep, sweep.gaps[i]);
-    }
-    return points;
+  std::vector<SweepPoint> points;
+  points.reserve(sweep.gaps.size());
+  for (const Cycle gap : sweep.gaps) {
+    points.push_back(run_one_point(model, cfg, pass_cfg, sweep, gap));
   }
-  // Pre-sized slots + axis-order indices: the parallel curve is
-  // bit-identical to the serial one (the run_fuzz_sweep pattern).
-  ThreadPool pool(jobs);
-  TaskGroup group(sweep.gaps.size());
-  for (std::size_t i = 0; i < sweep.gaps.size(); ++i) {
-    group.run(pool, i, [&, i] {
-      points[i] = run_one_point(model, cfg, pass_cfg, sweep, sweep.gaps[i]);
-    });
-  }
-  group.wait();
   return points;
 }
 

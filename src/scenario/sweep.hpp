@@ -13,10 +13,9 @@
 // second) and the preemption/queue totals. Max-sustainable load is the
 // largest offered rate whose P99 TTFT still meets the SLO.
 //
-// Every point is an independent single-threaded simulation; run_load_sweep
-// fans them out across a thread pool into pre-sized slots, so the returned
-// curve is bit-identical to a serial sweep regardless of worker timing
-// (the same pattern as run_fuzz_sweep).
+// Every point is an independent single-threaded simulation run in axis
+// order in the caller's thread; a bench that charts several curves fans
+// the curves out with parallel_map (common/thread_pool.hpp).
 #pragma once
 
 #include <cstdint>
@@ -73,12 +72,10 @@ struct SweepPoint {
 /// continuous pass under `pass_cfg` on `cfg`, audits it against the
 /// open-loop contract (throwing InvariantViolation on a breach - a sweep
 /// must never chart a run that broke the contract), and reduces it to a
-/// SweepPoint. `jobs`: 0 = hardware concurrency, 1 = serial in-caller.
-/// Points land in gap-order slots - bit-identical to a serial sweep.
+/// SweepPoint. Points are returned in gap order.
 [[nodiscard]] std::vector<SweepPoint> run_load_sweep(
     const ModelShape& model, const SimConfig& cfg,
-    const DecodePassConfig& pass_cfg, const SweepConfig& sweep,
-    std::size_t jobs = 1);
+    const DecodePassConfig& pass_cfg, const SweepConfig& sweep);
 
 /// Index of the highest sustainable load: the smallest gap (densest
 /// arrivals) whose P99 TTFT still meets `slo_ttft_cycles`. Returns

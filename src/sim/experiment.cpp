@@ -1,8 +1,8 @@
 #include "sim/experiment.hpp"
 
 #include <chrono>
-#include <future>
 #include <iostream>
+#include <sstream>
 
 #include "common/thread_pool.hpp"
 #include "sim/system.hpp"
@@ -65,34 +65,27 @@ SimStats run_simulation(const SimConfig& cfg, const Workload& wl) {
 std::vector<ExperimentResult> run_experiments(
     std::span<const ExperimentSpec> specs, std::size_t threads,
     bool verbose) {
-  ThreadPool pool(threads);
-  std::vector<std::future<ExperimentResult>> futures;
-  futures.reserve(specs.size());
-  for (const ExperimentSpec& spec : specs) {
-    futures.push_back(pool.submit([&spec]() {
-      // lint:allow(wallclock): wall_seconds reports host runtime; sim state is cycle-driven
-      const auto t0 = std::chrono::steady_clock::now();
-      ExperimentResult r;
-      r.name = spec.name;
-      r.stats = run_simulation(spec.cfg, spec.workload);
-      r.wall_seconds =
-          // lint:allow(wallclock): wall_seconds reports host runtime; sim state is cycle-driven
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      return r;
-    }));
-  }
-  std::vector<ExperimentResult> results;
-  results.reserve(specs.size());
-  for (auto& f : futures) {
-    results.push_back(f.get());
+  return parallel_map(specs.size(), threads, [&](std::size_t i) {
+    const ExperimentSpec& spec = specs[i];
+    // lint:allow(wallclock): wall_seconds reports host runtime; sim state is cycle-driven
+    const auto t0 = std::chrono::steady_clock::now();
+    ExperimentResult r;
+    r.name = spec.name;
+    r.stats = run_simulation(spec.cfg, spec.workload);
+    r.wall_seconds =
+        // lint:allow(wallclock): wall_seconds reports host runtime; sim state is cycle-driven
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
     if (verbose) {
-      std::cerr << "[exp] " << results.back().name << ": "
-                << results.back().stats.cycles << " cycles ("
-                << results.back().wall_seconds << "s wall)\n";
+      // One write per line, from the worker that finished the run, so
+      // concurrent runs never interleave mid-line.
+      std::ostringstream line;
+      line << "[exp] " << r.name << ": " << r.stats.cycles << " cycles ("
+           << r.wall_seconds << "s wall)\n";
+      std::cerr << line.str();
     }
-  }
-  return results;
+    return r;
+  });
 }
 
 SimConfig with_policies(const SimConfig& base, ThrottlePolicy thr,
@@ -108,41 +101,6 @@ SimConfig with_policies(const SimConfig& base, ThrottlePolicy thr,
     cfg.llc.resp_arb = RespArbPolicy::kRequestFirst;
   }
   return cfg;
-}
-
-Cycle PipelineResult::total_cycles() const {
-  Cycle total = 0;
-  for (const auto& r : ops) total += r.stats.cycles;
-  return total;
-}
-
-double PipelineResult::total_seconds() const {
-  double total = 0.0;
-  for (const auto& r : ops) total += r.stats.seconds();
-  return total;
-}
-
-PipelineResult run_pipeline(const SimConfig& cfg,
-                            std::span<const Workload> ops, bool verbose) {
-  PipelineResult result;
-  result.ops.reserve(ops.size());
-  for (const Workload& wl : ops) {
-    // lint:allow(wallclock): wall_seconds reports host runtime; sim state is cycle-driven
-    const auto t0 = std::chrono::steady_clock::now();
-    ExperimentResult r;
-    r.name = to_string(wl.op.kind) + "/" + wl.op.model.name;
-    r.stats = run_simulation(cfg, wl);
-    r.wall_seconds =
-        // lint:allow(wallclock): wall_seconds reports host runtime; sim state is cycle-driven
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (verbose) {
-      std::cerr << "[pipeline] " << r.name << ": " << r.stats.cycles
-                << " cycles\n";
-    }
-    result.ops.push_back(std::move(r));
-  }
-  return result;
 }
 
 std::vector<Workload> decode_attention_step(const ModelShape& model,

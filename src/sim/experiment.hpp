@@ -51,8 +51,10 @@ struct ExperimentResult {
   double wall_seconds = 0.0;
 };
 
-/// Runs all specs, `threads`-wide (0 = hardware concurrency). Results keep
-/// the input order.
+/// Runs all specs through parallel_map, `threads`-wide (0 = hardware
+/// concurrency, 1 = in the caller's thread). Results keep the input order;
+/// `verbose` writes one `[exp]` line per run as it finishes (completion
+/// order when more than one run is in flight).
 std::vector<ExperimentResult> run_experiments(
     std::span<const ExperimentSpec> specs, std::size_t threads = 0,
     bool verbose = false);
@@ -62,23 +64,6 @@ std::vector<ExperimentResult> run_experiments(
 SimConfig with_policies(const SimConfig& base, ThrottlePolicy thr,
                         ArbPolicy arb,
                         std::optional<RespArbPolicy> resp_arb = std::nullopt);
-
-/// Result of a multi-operator pipeline run (operators executed
-/// back-to-back on the same machine, per-operator counters as the paper's
-/// per-operator progress reset implies).
-struct PipelineResult {
-  std::vector<ExperimentResult> ops;
-
-  [[nodiscard]] Cycle total_cycles() const;
-  /// Sum of per-operator simulated seconds.
-  [[nodiscard]] double total_seconds() const;
-};
-
-/// Runs `ops` sequentially (operator n+1 starts after operator n drains,
-/// as a dependent decode pipeline must).
-PipelineResult run_pipeline(const SimConfig& cfg,
-                            std::span<const Workload> ops,
-                            bool verbose = false);
 
 /// The decode attention step for one token: Logit (Q.K^T) followed by
 /// Attend (S.V). The softmax between them is elementwise on S and is not

@@ -11,8 +11,8 @@ constexpr const char* kDerivedHeader =
     "name,cycles,seconds,l2_hit_rate,mshr_hit_rate,mshr_entry_util,"
     "dram_bw_gbps,t_cs,ipc,instructions,thread_blocks,dram_reads,dram_writes";
 
-void write_derived_row(std::ostream& os, const ExperimentResult& r,
-                       char sep) {
+void write_derived_row(std::ostream& os, const ExperimentResult& r) {
+  constexpr char sep = ',';
   const SimStats& s = r.stats;
   os << r.name << sep << s.cycles << sep << s.seconds() << sep
      << s.l2_hit_rate << sep << s.mshr_hit_rate << sep << s.mshr_entry_util
@@ -69,38 +69,24 @@ void write_json_object(std::ostream& os, const std::string& name,
 
 }  // namespace
 
-void write_csv(std::ostream& os, std::span<const ExperimentResult> results,
-               const ReportOptions& opts) {
+void write_csv(std::ostream& os, std::span<const ExperimentResult> results) {
   const auto flags = os.flags();
   os << std::setprecision(10);
 
-  std::string header = kDerivedHeader;
-  if (opts.separator != ',') {
-    for (char& ch : header) {
-      if (ch == ',') ch = opts.separator;
-    }
-  }
-  os << header;
-
+  os << kDerivedHeader;
   std::set<std::string> counter_keys;
-  if (opts.include_counters) {
-    for (const auto& r : results) {
-      for (const auto& [k, v] : r.stats.counters.counters()) {
-        (void)v;
-        counter_keys.insert(k);
-      }
+  for (const auto& r : results) {
+    for (const auto& [k, v] : r.stats.counters.counters()) {
+      (void)v;
+      counter_keys.insert(k);
     }
-    for (const auto& k : counter_keys) os << opts.separator << k;
   }
+  for (const auto& k : counter_keys) os << ',' << k;
   os << "\n";
 
   for (const auto& r : results) {
-    write_derived_row(os, r, opts.separator);
-    if (opts.include_counters) {
-      for (const auto& k : counter_keys) {
-        os << opts.separator << r.stats.counters.get(k);
-      }
-    }
+    write_derived_row(os, r);
+    for (const auto& k : counter_keys) os << ',' << r.stats.counters.get(k);
     os << "\n";
   }
   os.flags(flags);

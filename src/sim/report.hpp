@@ -11,18 +11,11 @@
 
 namespace llamcat {
 
-/// Columns shared by every run: derived headline metrics first, then raw
-/// totals. Counter maps can be appended optionally (union of keys).
-struct ReportOptions {
-  bool include_counters = false;  // append every merged component counter
-  char separator = ',';
-};
-
-/// Writes one row per result, with a header row. Counter columns (when
-/// enabled) are the sorted union of all counter names across results;
-/// missing entries are written as 0.
-void write_csv(std::ostream& os, std::span<const ExperimentResult> results,
-               const ReportOptions& opts = {});
+/// Writes one comma-separated row per result, with a header row: derived
+/// headline metrics first, then raw totals, then one column per counter -
+/// the sorted union of all counter names across results, with missing
+/// entries written as 0.
+void write_csv(std::ostream& os, std::span<const ExperimentResult> results);
 
 /// Writes a JSON array of result objects. Counters are always included
 /// (JSON is the lossless export).

@@ -1,5 +1,5 @@
 // Unit tests: common utilities (math, clock divider, RNG, stats, tables,
-// thread pool, config validation).
+// config validation).
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -13,7 +13,6 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 
 namespace llamcat {
 namespace {
@@ -110,15 +109,6 @@ TEST(TextTable, AlignsAndCounts) {
   std::ostringstream csv;
   t.print_csv(csv);
   EXPECT_NE(csv.str().find("333,4"), std::string::npos);
-}
-
-TEST(ThreadPool, RunsAllJobs) {
-  ThreadPool pool(2);
-  std::vector<std::future<int>> futs;
-  for (int i = 0; i < 32; ++i) {
-    futs.push_back(pool.submit([i] { return i * i; }));
-  }
-  for (int i = 0; i < 32; ++i) EXPECT_EQ(futs[i].get(), i * i);
 }
 
 TEST(Config, Table5Defaults) {

@@ -66,7 +66,7 @@ TEST(CsvReport, CounterUnionColumns) {
   b.stats.counters.set("noc.flits", 22);    // only in b
   const std::vector<ExperimentResult> rs = {a, b};
   std::ostringstream os;
-  write_csv(os, rs, ReportOptions{/*include_counters=*/true});
+  write_csv(os, rs);
   const auto lines = lines_of(os.str());
   EXPECT_NE(lines[0].find("dram.reads"), std::string::npos);
   EXPECT_NE(lines[0].find("noc.flits"), std::string::npos);
@@ -75,17 +75,6 @@ TEST(CsvReport, CounterUnionColumns) {
   const std::size_t n = count_fields(lines[0], ',');
   EXPECT_EQ(count_fields(lines[1], ','), n);
   EXPECT_EQ(count_fields(lines[2], ','), n);
-}
-
-TEST(CsvReport, CustomSeparator) {
-  const std::vector<ExperimentResult> rs = {result("a", 100)};
-  std::ostringstream os;
-  ReportOptions opts;
-  opts.separator = '\t';
-  write_csv(os, rs, opts);
-  const auto lines = lines_of(os.str());
-  EXPECT_EQ(lines[0].find(','), std::string::npos);
-  EXPECT_NE(lines[0].find('\t'), std::string::npos);
 }
 
 TEST(JsonReport, ContainsKeysAndCounters) {

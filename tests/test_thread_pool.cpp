@@ -1,6 +1,8 @@
-// Direct unit tests for ThreadPool and TaskGroup (common/thread_pool.hpp):
-// completion, exception propagation order, pool reuse across sweeps, and
-// the jobs=1 vs jobs=N bit-identity contract of run_fuzz_sweep.
+// Direct unit tests for parallel_map and the ThreadPool / TaskGroup it is
+// built on (common/thread_pool.hpp): index-order results, exactly-once
+// execution, lowest-index exception propagation, pool reuse across
+// batches, and the jobs=1 vs jobs=N bit-identity contract of
+// run_fuzz_sweep.
 //
 // Everything here also runs under the TSan CI job, so these tests double
 // as the race harness for the pool's queue and the TaskGroup latch.
@@ -19,32 +21,59 @@
 namespace llamcat {
 namespace {
 
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> count{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.submit([&count] { ++count; }));
+// parallel_map's contract holds at every width: jobs=1 runs in the
+// caller's thread, jobs=4 fans out across a pool.
+class ParallelMap : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ParallelMap, ResultsComeBackInIndexOrder) {
+  const auto out = parallel_map(
+      64, GetParam(), [](std::size_t i) { return std::to_string(i * i); });
+  ASSERT_EQ(out.size(), 64u);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i], std::to_string(i * i));
   }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(count.load(), 64);
 }
 
-TEST(ThreadPool, SubmitReturnsValues) {
-  ThreadPool pool(2);
-  auto f1 = pool.submit([] { return 41 + 1; });
-  auto f2 = pool.submit([] { return std::string("ok"); });
-  EXPECT_EQ(f1.get(), 42);
-  EXPECT_EQ(f2.get(), "ok");
+TEST_P(ParallelMap, RunsEveryIndexExactlyOnce) {
+  std::vector<std::atomic<int>> runs(64);
+  parallel_map(runs.size(), GetParam(), [&runs](std::size_t i) {
+    return ++runs[i];
+  });
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].load(), 1) << "index " << i;
+  }
 }
 
-TEST(ThreadPool, SubmitPropagatesExceptions) {
-  ThreadPool pool(2);
-  auto f = pool.submit(
-      []() -> int { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
+// The lowest failing index's exception surfaces, whichever worker fails
+// first - the one the serial loop would have thrown.
+TEST_P(ParallelMap, RethrowsLowestIndexException) {
+  for (int round = 0; round < 8; ++round) {
+    try {
+      parallel_map(16, GetParam(), [](std::size_t i) {
+        if (i == 5 || i == 11) throw std::runtime_error(std::to_string(i));
+        return i;
+      });
+      FAIL() << "parallel_map swallowed the failures";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "5");
+    }
+  }
 }
+
+TEST_P(ParallelMap, EmptyRangeIsEmptyResult) {
+  bool called = false;
+  const auto out = parallel_map(0, GetParam(), [&called](std::size_t i) {
+    called = true;
+    return i;
+  });
+  EXPECT_TRUE(out.empty());
+  EXPECT_FALSE(called);
+}
+
+INSTANTIATE_TEST_SUITE_P(Jobs, ParallelMap, ::testing::Values(1u, 4u),
+                         [](const auto& info) {
+                           return "jobs" + std::to_string(info.param);
+                         });
 
 TEST(ThreadPool, ZeroSelectsHardwareConcurrency) {
   ThreadPool pool(0);

@@ -4,13 +4,17 @@
 // broken SLO sums - is rejected with a violation naming the request. The
 // corruptions are applied to a copy of a genuine run's stats, so each test
 // proves the auditor catches exactly one defect on otherwise-valid data.
+// The load-sweep driver (scenario/sweep.hpp) that charts audited runs is
+// tested at the end.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "scenario/invariants.hpp"
 #include "scenario/scenario.hpp"
+#include "scenario/sweep.hpp"
 #include "scenario/traffic.hpp"
 
 namespace llamcat {
@@ -23,10 +27,14 @@ using scenario::DecodePass;
 using scenario::DecodePassConfig;
 using scenario::ExecutionMode;
 using scenario::generate_traffic;
+using scenario::max_sustainable_index;
 using scenario::RequestBatch;
 using scenario::RequestSpec;
+using scenario::run_load_sweep;
 using scenario::slo_accounting;
 using scenario::SloReport;
+using scenario::SweepConfig;
+using scenario::SweepPoint;
 using scenario::TrafficConfig;
 
 SimConfig small_config() {
@@ -44,6 +52,14 @@ ModelShape tiny_model() {
   m.num_kv_heads = 2;
   m.group_size = 4;
   return m;
+}
+
+DecodePassConfig open_loop_pass() {
+  DecodePassConfig pc;
+  pc.num_layers = 1;
+  pc.include_gemv = false;
+  pc.mode = ExecutionMode::kContinuous;
+  return pc;
 }
 
 TrafficConfig small_traffic() {
@@ -65,11 +81,7 @@ struct OpenLoopRun {
 
   OpenLoopRun() : requests(generate_traffic(small_traffic())) {
     const RequestBatch batch(tiny_model(), requests);
-    DecodePassConfig pc;
-    pc.num_layers = 1;
-    pc.include_gemv = false;
-    pc.mode = ExecutionMode::kContinuous;
-    stats = DecodePass(batch, pc, small_config()).run();
+    stats = DecodePass(batch, open_loop_pass(), small_config()).run();
   }
 };
 
@@ -202,6 +214,71 @@ TEST(SloAccounting, ZeroSloViolatesLateDispatches) {
   const SloReport slo = slo_accounting(run().stats, 0);
   EXPECT_EQ(slo.attained + slo.violated, slo.finished);
   EXPECT_GT(slo.violated, 0u);
+}
+
+// -- Load sweep ---------------------------------------------------------------
+
+SweepConfig small_sweep() {
+  SweepConfig sweep;
+  sweep.traffic = small_traffic();
+  sweep.gaps = {20'000, 5'000};
+  sweep.slo_ttft_cycles = kSlo;
+  return sweep;
+}
+
+TEST(LoadSweep, ValidateRejectsDegenerateAxes) {
+  EXPECT_NO_THROW(small_sweep().validate());
+  SweepConfig empty = small_sweep();
+  empty.gaps.clear();
+  EXPECT_THROW(empty.validate(), std::invalid_argument);
+  SweepConfig zero_gap = small_sweep();
+  zero_gap.gaps = {5'000, 0};
+  EXPECT_THROW(zero_gap.validate(), std::invalid_argument);
+  SweepConfig zero_slo = small_sweep();
+  zero_slo.slo_ttft_cycles = 0;
+  EXPECT_THROW(zero_slo.validate(), std::invalid_argument);
+}
+
+// Each point is the audited reduction of a standalone continuous pass over
+// the generated workload at that gap, returned in axis order.
+TEST(LoadSweep, PointsFollowTheGapAxisAndMatchStandaloneRuns) {
+  const SimConfig cfg = small_config();
+  const SweepConfig sweep = small_sweep();
+  const std::vector<SweepPoint> points =
+      run_load_sweep(tiny_model(), cfg, open_loop_pass(), sweep);
+  ASSERT_EQ(points.size(), sweep.gaps.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const Cycle gap = sweep.gaps[i];
+    EXPECT_EQ(points[i].mean_gap, gap);
+    EXPECT_DOUBLE_EQ(points[i].offered_qps,
+                     cfg.core_hz / static_cast<double>(gap));
+    TrafficConfig tc = sweep.traffic;
+    tc.mean_gap = gap;
+    const RequestBatch batch(tiny_model(), generate_traffic(tc));
+    const BatchStats standalone =
+        DecodePass(batch, open_loop_pass(), cfg).run();
+    EXPECT_EQ(points[i].makespan, standalone.makespan) << "gap " << gap;
+  }
+}
+
+TEST(LoadSweep, MaxSustainableIsTheDensestGapMeetingTheSlo) {
+  const auto point = [](Cycle gap, Cycle p99_ttft) {
+    SweepPoint pt;
+    pt.mean_gap = gap;
+    pt.offered_qps = 1e9 / static_cast<double>(gap);
+    pt.p99_ttft = p99_ttft;
+    return pt;
+  };
+  // Densest-first and sparsest-first axes pick the same point: the 2'000
+  // gap misses the SLO, so 4'000 is the highest load that sustains it.
+  const std::vector<SweepPoint> descending = {
+      point(8'000, 10), point(4'000, 100), point(2'000, 101)};
+  EXPECT_EQ(max_sustainable_index(descending, 100), 1u);
+  const std::vector<SweepPoint> ascending = {
+      point(2'000, 101), point(4'000, 100), point(8'000, 10)};
+  EXPECT_EQ(max_sustainable_index(ascending, 100), 1u);
+  EXPECT_EQ(max_sustainable_index(descending, 9), descending.size());
+  EXPECT_EQ(max_sustainable_index({}, 100), 0u);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Workload-level tests: the GEMV (no-GQA) operator, the model zoo, the
-// decode pipeline runner, and the §6.3.3 locality property - GQA sharing
+// decode attention step, and the §6.3.3 locality property - GQA sharing
 // is what produces cache/MSHR hits on KV traffic; a GEMV with the same
 // traffic volume has none to give.
 #include <gtest/gtest.h>
@@ -138,39 +138,6 @@ TEST(Pipeline, DecodeStepIsLogitThenAttend) {
   EXPECT_EQ(ops[0].op.kind, OpKind::kLogit);
   EXPECT_EQ(ops[1].op.kind, OpKind::kAttend);
   EXPECT_EQ(ops[0].op.seq_len, ops[1].op.seq_len);
-}
-
-TEST(Pipeline, TotalsAreSumsOfStages) {
-  const SimConfig cfg = small_cfg();
-  ModelShape m = ModelShape::llama3_70b();
-  m.num_kv_heads = 2;
-  m.group_size = 4;
-  const auto ops = decode_attention_step(m, 512, cfg);
-  const PipelineResult r = run_pipeline(cfg, ops);
-  ASSERT_EQ(r.ops.size(), 2u);
-  EXPECT_GT(r.ops[0].stats.cycles, 0u);
-  EXPECT_GT(r.ops[1].stats.cycles, 0u);
-  EXPECT_EQ(r.total_cycles(), r.ops[0].stats.cycles + r.ops[1].stats.cycles);
-  EXPECT_DOUBLE_EQ(r.total_seconds(),
-                   r.ops[0].stats.seconds() + r.ops[1].stats.seconds());
-}
-
-TEST(Pipeline, StageNamesIdentifyOperators) {
-  const SimConfig cfg = small_cfg();
-  ModelShape m = ModelShape::llama3_70b();
-  m.num_kv_heads = 2;
-  m.group_size = 2;
-  const PipelineResult r =
-      run_pipeline(cfg, decode_attention_step(m, 256, cfg));
-  EXPECT_NE(r.ops[0].name.find("logit"), std::string::npos);
-  EXPECT_NE(r.ops[1].name.find("attend"), std::string::npos);
-}
-
-TEST(Pipeline, EmptyPipelineIsEmptyResult) {
-  const SimConfig cfg = small_cfg();
-  const PipelineResult r = run_pipeline(cfg, {});
-  EXPECT_TRUE(r.ops.empty());
-  EXPECT_EQ(r.total_cycles(), 0u);
 }
 
 }  // namespace

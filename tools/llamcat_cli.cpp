@@ -23,6 +23,7 @@
 #include <iostream>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cli/options.hpp"
@@ -59,7 +60,7 @@ int export_results(const CliOptions& opt,
       std::cerr << "cannot open " << opt.csv_path << "\n";
       return 1;
     }
-    write_csv(csv, results, ReportOptions{/*include_counters=*/true});
+    write_csv(csv, results);
     std::cout << "wrote " << opt.csv_path << "\n";
   }
   if (!opt.json_path.empty()) {
@@ -193,12 +194,20 @@ int run(const CliOptions& opt) {
   if (opt.op == "batch") {
     return run_batch(opt);
   }
-  const std::vector<Workload> workloads = build_workloads(opt);
-  const PipelineResult pipeline =
-      run_pipeline(opt.cfg, workloads, opt.verbose);
+  // Every stage runs on a fresh machine, so the stages are independent and
+  // the pipeline total is the plain sum of the per-stage runs.
+  std::vector<ExperimentSpec> specs;
+  for (Workload& wl : build_workloads(opt)) {
+    std::string name = to_string(wl.op.kind) + "/" + wl.op.model.name;
+    specs.push_back({std::move(name), opt.cfg, std::move(wl)});
+  }
+  const std::vector<ExperimentResult> results =
+      run_experiments(specs, /*threads=*/0, opt.verbose);
 
   std::cout << "machine: " << opt.cfg.summary() << "\n";
-  for (const auto& r : pipeline.ops) {
+  Cycle total_cycles = 0;
+  double total_seconds = 0.0;
+  for (const auto& r : results) {
     std::cout << "\n== " << r.name << " ==\n";
     r.stats.print(std::cout);
     if (opt.print_energy) {
@@ -207,13 +216,15 @@ int run(const CliOptions& opt) {
     if (opt.print_counters) {
       r.stats.counters.print(std::cout, "  ");
     }
+    total_cycles += r.stats.cycles;
+    total_seconds += r.stats.seconds();
   }
-  if (pipeline.ops.size() > 1) {
-    std::cout << "\npipeline total: " << pipeline.total_cycles()
-              << " cycles (" << pipeline.total_seconds() * 1e3 << " ms simulated)\n";
+  if (results.size() > 1) {
+    std::cout << "\npipeline total: " << total_cycles << " cycles ("
+              << total_seconds * 1e3 << " ms simulated)\n";
   }
 
-  return export_results(opt, pipeline.ops);
+  return export_results(opt, results);
 }
 
 }  // namespace
