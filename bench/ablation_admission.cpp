@@ -41,18 +41,6 @@ using scenario::RequestSpec;
 
 namespace {
 
-SimConfig contention_config(ThrottlePolicy thr, ArbPolicy arb) {
-  // Same scaled-down machine as ablation_continuous: a small LLC and few
-  // channels so co-resident KV streams genuinely contend.
-  SimConfig cfg = with_policies(SimConfig::table5(), thr, arb);
-  cfg.core.num_cores = 4;
-  cfg.llc.size_bytes = 1ull << 20;
-  cfg.llc.num_slices = 2;
-  cfg.dram.num_channels = 2;
-  cfg.max_cycles = 200'000'000;
-  return cfg;
-}
-
 // Unlike the co-schedule/continuous ablations, this bench keeps the full
 // llama3-70b head count: the serving policies matter exactly when one
 // long-context KV stream can saturate the scaled-down memory system (the
@@ -109,31 +97,25 @@ std::string admit_order(const BatchStats& s) {
   return out;
 }
 
-double mean_latency(const BatchStats& s) {
-  double sum = 0.0;
-  for (const scenario::RequestStats& r : s.per_request) {
-    sum += static_cast<double>(r.latency());
-  }
-  return sum / static_cast<double>(s.per_request.size());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_header("Ablation: KV-pressure-aware admission + preemption");
   JsonRows json;
+  const BenchOptions args = parse_args(argc, argv, &json);
+  print_header("Ablation: KV-pressure-aware admission + preemption",
+               args.scale);
 
-  const std::uint64_t long_seq = paper_scale() ? 8192 : 1024;
-  const std::uint64_t short_seq = paper_scale() ? 512 : 128;
-  const std::uint32_t layers = quick_scale() ? 1 : 2;
-  const std::uint32_t n_short = quick_scale() ? 4 : 6;
+  const std::uint64_t long_seq = args.paper() ? 8192 : 1024;
+  const std::uint64_t short_seq = args.paper() ? 512 : 128;
+  const std::uint32_t layers = args.quick() ? 1 : 2;
+  const std::uint32_t n_short = args.quick() ? 4 : 6;
 
   std::vector<NamedPolicy> policies = {
       {"unopt+fcfs", ThrottlePolicy::kNone, ArbPolicy::kFcfs},
       {"dynmg+BMA", ThrottlePolicy::kDynMg, ArbPolicy::kBma},
   };
-  if (quick_scale()) policies = {{"dynmg+BMA", ThrottlePolicy::kDynMg,
-                                  ArbPolicy::kBma}};
+  if (args.quick()) policies = {{"dynmg+BMA", ThrottlePolicy::kDynMg,
+                                 ArbPolicy::kBma}};
 
   // Scenario A: one long request decoding from cycle 0, shorts arriving
   // every 10k cycles. The budget fits the long request's KV plus two
@@ -218,7 +200,7 @@ int main(int argc, char** argv) {
   // 320 + 384 > 512), so co-residency is impossible: FCFS drains by
   // arrival, SRF drains shortest-first, and the latency spread between the
   // two is pure queue discipline with zero contention mixed in.
-  const std::uint64_t unit = paper_scale() ? 8 : 1;
+  const std::uint64_t unit = args.paper() ? 8 : 1;
   const RequestBatch serial(bench_model(), {{0, 512 * unit, 0, 1},
                                             {1, 448 * unit, 5'000, 1},
                                             {2, 384 * unit, 10'000, 1},
@@ -277,5 +259,5 @@ int main(int argc, char** argv) {
                "yields its stage boundaries while shorts stream through, "
                "cutting P50 and - because\nserialized streams beat "
                "contended ones on this machine - P99 and makespan too.\n";
-  return json.write_if_requested(argc, argv) ? 0 : 1;
+  return json.write_if_requested() ? 0 : 1;
 }

@@ -8,10 +8,11 @@
 using namespace llamcat;
 using namespace llamcat::bench;
 
-int main() {
-  print_header("Ablation: LLC fill bypass policies (Fig 4 step 5)");
+int main(int argc, char** argv) {
+  const BenchOptions args = parse_args(argc, argv);
+  print_header("Ablation: LLC fill bypass policies (Fig 4 step 5)", args.scale);
 
-  const std::uint64_t L = quick_scale() ? 2048 : 8192;
+  const std::uint64_t L = args.quick() ? 2048 : 8192;
   const ModelShape model = ModelShape::llama3_70b();
 
   struct Case {

@@ -27,18 +27,6 @@ using scenario::RequestSpec;
 
 namespace {
 
-SimConfig contention_config(ThrottlePolicy thr, ArbPolicy arb) {
-  // Same scaled-down machine as ablation_coschedule: a small LLC and few
-  // channels so co-resident KV streams genuinely contend.
-  SimConfig cfg = with_policies(SimConfig::table5(), thr, arb);
-  cfg.core.num_cores = 4;
-  cfg.llc.size_bytes = 1ull << 20;
-  cfg.llc.num_slices = 2;
-  cfg.dram.num_channels = 2;
-  cfg.max_cycles = 200'000'000;
-  return cfg;
-}
-
 ModelShape bench_model() {
   ModelShape m = ModelShape::llama3_70b();
   m.num_kv_heads = 2;
@@ -61,17 +49,18 @@ double short_latency(const BatchStats& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_header("Ablation: continuous batching vs per-wave barrier");
   JsonRows json;
+  const BenchOptions args = parse_args(argc, argv, &json);
+  print_header("Ablation: continuous batching vs per-wave barrier", args.scale);
 
   // Skewed batch: one long-context request plus short ones. Under the
   // barrier the short requests pay the long request's wave time at every
   // stage; under streaming they run ahead and retire early.
-  const std::uint64_t long_seq = paper_scale() ? 8192 : 1024;
-  const std::uint64_t short_seq = paper_scale() ? 512 : 128;
-  const std::uint32_t layers = quick_scale() ? 1 : 2;
+  const std::uint64_t long_seq = args.paper() ? 8192 : 1024;
+  const std::uint64_t short_seq = args.paper() ? 512 : 128;
+  const std::uint32_t layers = args.quick() ? 1 : 2;
   std::vector<std::uint32_t> batch_sizes = {2, 4, 8};
-  if (quick_scale()) batch_sizes = {4};
+  if (args.quick()) batch_sizes = {4};
 
   const std::vector<NamedPolicy> policies = {
       {"unopt+fcfs", ThrottlePolicy::kNone, ArbPolicy::kFcfs},
@@ -171,5 +160,5 @@ int main(int argc, char** argv) {
                "machine while short requests\nwait on the batch's longest "
                "member - the paper's contention policies now get\nexercised "
                "under the admission regime real schedulers run.\n";
-  return json.write_if_requested(argc, argv) ? 0 : 1;
+  return json.write_if_requested() ? 0 : 1;
 }

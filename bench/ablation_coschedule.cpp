@@ -24,18 +24,6 @@ using scenario::RequestBatch;
 
 namespace {
 
-SimConfig contention_config(ThrottlePolicy thr, ArbPolicy arb) {
-  // Scaled-down machine with real cache-capacity pressure: a small LLC and
-  // few channels so N co-resident KV streams genuinely evict each other.
-  SimConfig cfg = with_policies(SimConfig::table5(), thr, arb);
-  cfg.core.num_cores = 4;
-  cfg.llc.size_bytes = 1ull << 20;
-  cfg.llc.num_slices = 2;
-  cfg.dram.num_channels = 2;
-  cfg.max_cycles = 200'000'000;
-  return cfg;
-}
-
 ModelShape bench_model() {
   ModelShape m = ModelShape::llama3_70b();
   m.num_kv_heads = 2;
@@ -46,12 +34,14 @@ ModelShape bench_model() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_header("Ablation: co-scheduled contention vs independent sum");
   JsonRows json;
+  const BenchOptions args = parse_args(argc, argv, &json);
+  print_header("Ablation: co-scheduled contention vs independent sum",
+               args.scale);
 
-  const std::uint64_t seq = paper_scale() ? 2048 : 256;
+  const std::uint64_t seq = args.paper() ? 2048 : 256;
   std::vector<std::uint32_t> batch_sizes = {1, 2, 4, 8};
-  if (quick_scale()) batch_sizes = {1, 4};
+  if (args.quick()) batch_sizes = {1, 4};
 
   const std::vector<NamedPolicy> policies = {
       {"unopt+fcfs", ThrottlePolicy::kNone, ArbPolicy::kFcfs},
@@ -135,5 +125,5 @@ int main(int argc, char** argv) {
   std::cout << "\nslowdown > 1: cross-request LLC/DRAM interference the "
                "independent sum hides.\nbatch 1 is the sanity anchor: both "
                "modes simulate the identical machine, so slowdown = 1.\n";
-  return json.write_if_requested(argc, argv) ? 0 : 1;
+  return json.write_if_requested() ? 0 : 1;
 }

@@ -9,10 +9,11 @@
 using namespace llamcat;
 using namespace llamcat::bench;
 
-int main() {
-  print_header("Ablation: GQA group size -> cache/MSHR locality");
+int main(int argc, char** argv) {
+  const BenchOptions args = parse_args(argc, argv);
+  print_header("Ablation: GQA group size -> cache/MSHR locality", args.scale);
 
-  const std::uint64_t L = quick_scale() ? 2048 : 8192;
+  const std::uint64_t L = args.quick() ? 2048 : 8192;
 
   std::vector<ExperimentSpec> specs;
   // G sweep at fixed H=8 and fixed L: the K tensor (and so the compulsory

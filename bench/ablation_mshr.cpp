@@ -7,10 +7,12 @@
 using namespace llamcat;
 using namespace llamcat::bench;
 
-int main() {
-  print_header("Ablation: MSHR dimensions + request-response arbitration");
+int main(int argc, char** argv) {
+  const BenchOptions args = parse_args(argc, argv);
+  print_header("Ablation: MSHR dimensions + request-response arbitration",
+               args.scale);
 
-  const std::uint64_t L = quick_scale() ? 1024 : 4096;
+  const std::uint64_t L = args.quick() ? 1024 : 4096;
   const ModelShape model = ModelShape::llama3_70b();
 
   {

@@ -49,20 +49,6 @@ using scenario::RequestSpec;
 
 namespace {
 
-SimConfig contention_config(ThrottlePolicy thr, ArbPolicy arb) {
-  // Same scaled-down core/DRAM setup as ablation_admission, but with a
-  // 2 MiB LLC: the co-run-vs-serialize comparison needs the shorts'
-  // combined working set to (mostly) fit the cache - on the 1 MiB machine
-  // co-running thrashes so badly that nothing can beat serialization.
-  SimConfig cfg = with_policies(SimConfig::table5(), thr, arb);
-  cfg.core.num_cores = 4;
-  cfg.llc.size_bytes = 2ull << 20;
-  cfg.llc.num_slices = 2;
-  cfg.dram.num_channels = 2;
-  cfg.max_cycles = 400'000'000;
-  return cfg;
-}
-
 // Full llama3-70b head count, like ablation_admission: the paging policies
 // matter exactly when one long-context KV stream saturates the scaled-down
 // memory system.
@@ -122,31 +108,25 @@ std::string admit_order(const BatchStats& s) {
   return out;
 }
 
-double mean_latency(const BatchStats& s) {
-  double sum = 0.0;
-  for (const scenario::RequestStats& r : s.per_request) {
-    sum += static_cast<double>(r.latency());
-  }
-  return sum / static_cast<double>(s.per_request.size());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_header("Ablation: paged KV eviction vs resident preemption");
   JsonRows json;
+  const BenchOptions args = parse_args(argc, argv, &json);
+  print_header("Ablation: paged KV eviction vs resident preemption",
+               args.scale);
 
-  const std::uint64_t long_seq = paper_scale() ? 8192 : 1024;
+  const std::uint64_t long_seq = args.paper() ? 8192 : 1024;
   const std::uint64_t short_seq = 128;
   const std::uint32_t layers = 1;
-  const std::uint32_t n_short = quick_scale() ? 4 : 6;
+  const std::uint32_t n_short = args.quick() ? 4 : 6;
 
   std::vector<NamedPolicy> policies = {
       {"unopt+fcfs", ThrottlePolicy::kNone, ArbPolicy::kFcfs},
       {"dynmg+BMA", ThrottlePolicy::kDynMg, ArbPolicy::kBma},
   };
-  if (quick_scale()) policies = {{"dynmg+BMA", ThrottlePolicy::kDynMg,
-                                  ArbPolicy::kBma}};
+  if (args.quick()) policies = {{"dynmg+BMA", ThrottlePolicy::kDynMg,
+                                 ArbPolicy::kBma}};
 
   // One long request from cycle 0, shorts every 10k cycles. The budget
   // fits the long request plus exactly one short: resident preemption can
@@ -171,7 +151,10 @@ int main(int argc, char** argv) {
                 "admit order"});
 
   for (const NamedPolicy& p : policies) {
-    const SimConfig cfg = contention_config(p.thr, p.arb);
+    // A 2 MiB LLC: the co-run-vs-serialize comparison needs the shorts'
+    // combined working set to (mostly) fit the cache - on the 1 MiB machine
+    // co-running thrashes so badly that nothing can beat serialization.
+    const SimConfig cfg = contention_config(p.thr, p.arb, 2, 400'000'000);
     for (const PagingVariant& v : variants()) {
       const BatchStats s = run_variant(batch, cfg, layers, v, budget);
       t.add_row({p.name, v.name, std::to_string(s.makespan),
@@ -230,5 +213,5 @@ int main(int argc, char** argv) {
                "co-run gain back on makespan\nwhile the short-request "
                "latencies keep their improvement: recompute-vs-reload "
                "is\na knob, not a universal win.\n";
-  return json.write_if_requested(argc, argv) ? 0 : 1;
+  return json.write_if_requested() ? 0 : 1;
 }

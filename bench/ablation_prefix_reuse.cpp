@@ -50,50 +50,30 @@ using scenario::RequestSpec;
 
 namespace {
 
-SimConfig contention_config(ThrottlePolicy thr, ArbPolicy arb) {
-  // The ablation_paging machine: 4 cores, a 2 MiB LLC and 2 channels, so a
-  // single request leaves throughput on the table and a few co-running
-  // requests (mostly) fit the cache - the regime where admission policy
-  // decides wall-clock, not just queueing fairness.
-  SimConfig cfg = with_policies(SimConfig::table5(), thr, arb);
-  cfg.core.num_cores = 4;
-  cfg.llc.size_bytes = 2ull << 20;
-  cfg.llc.num_slices = 2;
-  cfg.dram.num_channels = 2;
-  cfg.max_cycles = 400'000'000;
-  return cfg;
-}
-
 ModelShape bench_model() { return ModelShape::llama3_70b(); }
-
-double mean_latency(const BatchStats& s) {
-  double sum = 0.0;
-  for (const scenario::RequestStats& r : s.per_request) {
-    sum += static_cast<double>(r.latency());
-  }
-  return sum / static_cast<double>(s.per_request.size());
-}
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_header("Ablation: cross-request KV prefix reuse (--kv-share)");
   JsonRows json;
+  const BenchOptions args = parse_args(argc, argv, &json);
+  print_header("Ablation: cross-request KV prefix reuse (--kv-share)",
+               args.scale);
 
-  const std::uint64_t seq = paper_scale() ? 256 : 128;
+  const std::uint64_t seq = args.paper() ? 256 : 128;
   const std::uint32_t n_requests =
-      paper_scale() ? 12 : (quick_scale() ? 6 : 8);
+      args.paper() ? 12 : (args.quick() ? 6 : 8);
   const std::uint32_t layers = 1;
   const std::vector<std::uint64_t> overlaps =
-      quick_scale() ? std::vector<std::uint64_t>{0, 50, 75}
-                    : std::vector<std::uint64_t>{0, 25, 50, 75};
+      args.quick() ? std::vector<std::uint64_t>{0, 50, 75}
+                   : std::vector<std::uint64_t>{0, 25, 50, 75};
 
   std::vector<NamedPolicy> policies = {
       {"unopt+fcfs", ThrottlePolicy::kNone, ArbPolicy::kFcfs},
       {"dynmg+BMA", ThrottlePolicy::kDynMg, ArbPolicy::kBma},
   };
-  if (quick_scale()) policies = {{"dynmg+BMA", ThrottlePolicy::kDynMg,
-                                  ArbPolicy::kBma}};
+  if (args.quick()) policies = {{"dynmg+BMA", ThrottlePolicy::kDynMg,
+                                 ArbPolicy::kBma}};
 
   TextTable t(std::to_string(n_requests) + " requests (seq " +
               std::to_string(seq) +
@@ -102,7 +82,11 @@ int main(int argc, char** argv) {
                 "p99 lat", "queue_wait", "hit_rate", "shared_B", "dedup"});
 
   for (const NamedPolicy& p : policies) {
-    const SimConfig cfg = contention_config(p.thr, p.arb);
+    // The ablation_paging machine (2 MiB LLC): a single request leaves
+    // throughput on the table and a few co-running requests (mostly) fit
+    // the cache - the regime where admission policy decides wall-clock, not
+    // just queueing fairness.
+    const SimConfig cfg = contention_config(p.thr, p.arb, 2, 400'000'000);
     for (const std::uint64_t overlap : overlaps) {
       for (const bool share : {false, true}) {
         const std::uint64_t prefix_tokens = seq * overlap / 100;
@@ -177,5 +161,5 @@ int main(int argc, char** argv) {
                "requests never probe a live one:\nreuse needs co-residency, "
                "not just overlap, and costs nothing when it never\n"
                "materializes.\n";
-  return json.write_if_requested(argc, argv) ? 0 : 1;
+  return json.write_if_requested() ? 0 : 1;
 }

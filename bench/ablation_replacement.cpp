@@ -9,8 +9,9 @@
 using namespace llamcat;
 using namespace llamcat::bench;
 
-int main() {
-  print_header("Ablation: LLC replacement policies");
+int main(int argc, char** argv) {
+  const BenchOptions args = parse_args(argc, argv);
+  print_header("Ablation: LLC replacement policies", args.scale);
 
   const ModelShape model = ModelShape::llama3_70b();
 
@@ -34,8 +35,8 @@ int main() {
     SimConfig cfg;
     std::uint64_t L;
   };
-  const std::uint64_t L_mha = quick_scale() ? 2048 : 8192;
-  const std::uint64_t L_cap = quick_scale() ? 4096 : 16384;
+  const std::uint64_t L_mha = args.quick() ? 2048 : 8192;
+  const std::uint64_t L_cap = args.quick() ? 4096 : 16384;
   const std::vector<Regime> regimes = {
       {"MHA-bound (wave, " + seq_label(L_mha) + ")", mha_bound_config(),
        L_mha},

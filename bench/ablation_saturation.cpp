@@ -43,18 +43,6 @@ using scenario::TrafficProcess;
 
 namespace {
 
-SimConfig contention_config(ThrottlePolicy thr, ArbPolicy arb) {
-  // Same scaled-down machine as the admission ablation: a small LLC and few
-  // channels so co-resident KV streams genuinely contend.
-  SimConfig cfg = with_policies(SimConfig::table5(), thr, arb);
-  cfg.core.num_cores = 4;
-  cfg.llc.size_bytes = 1ull << 20;
-  cfg.llc.num_slices = 2;
-  cfg.dram.num_channels = 2;
-  cfg.max_cycles = 500'000'000;
-  return cfg;
-}
-
 ModelShape bench_model() { return ModelShape::llama3_70b(); }
 
 struct ServingVariant {
@@ -76,11 +64,13 @@ const std::vector<ServingVariant>& variants() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_header("Ablation: open-loop saturation sweep (traffic -> knee)");
   JsonRows json;
+  const BenchOptions args = parse_args(argc, argv, &json);
+  print_header("Ablation: open-loop saturation sweep (traffic -> knee)",
+               args.scale);
 
-  const std::uint32_t layers = quick_scale() ? 1 : 2;
-  const std::uint32_t n_requests = quick_scale() ? 6 : 12;
+  const std::uint32_t layers = args.quick() ? 1 : 2;
+  const std::uint32_t n_requests = args.quick() ? 6 : 12;
 
   // The workload shape is fixed across the whole bench: only the arrival
   // clock (the gap ladder) and the serving stack vary, so any two rows
@@ -90,8 +80,8 @@ int main(int argc, char** argv) {
   traffic.seed = 7;
   traffic.process = TrafficProcess::kPoisson;
   traffic.seq_dist = TrafficDist::kLognormal;
-  traffic.seq_min = quick_scale() ? 128 : 256;
-  traffic.seq_max = quick_scale() ? 512 : 1024;
+  traffic.seq_min = args.quick() ? 128 : 256;
+  traffic.seq_max = args.quick() ? 512 : 1024;
   traffic.seq_sigma = 0.6;
   traffic.steps_min = 1;
   traffic.steps_max = 2;
@@ -101,13 +91,13 @@ int main(int argc, char** argv) {
   // the ladder (8M) leaves the machine idle between arrivals; the bottom
   // lands the whole batch near-simultaneously - well past the knee.
   std::vector<Cycle> gaps = {8'000'000, 2'000'000, 500'000, 125'000, 30'000};
-  if (quick_scale()) gaps = {8'000'000, 500'000, 30'000};
+  if (args.quick()) gaps = {8'000'000, 500'000, 30'000};
 
   std::vector<NamedPolicy> policies = {
       {"unopt+fcfs", ThrottlePolicy::kNone, ArbPolicy::kFcfs},
       {"dynmg+BMA", ThrottlePolicy::kDynMg, ArbPolicy::kBma},
   };
-  if (quick_scale()) {
+  if (args.quick()) {
     policies = {{"dynmg+BMA", ThrottlePolicy::kDynMg, ArbPolicy::kBma}};
   }
 
@@ -153,7 +143,9 @@ int main(int argc, char** argv) {
         pc.serving.preempt = curves[i].v->preempt;
         return run_load_sweep(
             bench_model(),
-            contention_config(curves[i].p->thr, curves[i].p->arb), pc, sweep);
+            contention_config(curves[i].p->thr, curves[i].p->arb, 1,
+                              500'000'000),
+            pc, sweep);
       });
   for (std::size_t i = 0; i < curves.size(); ++i) {
     curves[i].points = all_points[i];
@@ -218,5 +210,5 @@ int main(int argc, char** argv) {
                "SLO goodput while unconditional admission\nlets every "
                "stream contend at once - the ordering flip is the reason "
                "to chart\nwhole curves instead of benchmarking one load.\n";
-  return json.write_if_requested(argc, argv) ? 0 : 1;
+  return json.write_if_requested() ? 0 : 1;
 }

@@ -21,10 +21,12 @@ const char* dispatch_name(TbDispatch d) {
 }
 }  // namespace
 
-int main() {
-  print_header("Ablation: TB dispatch structure + throttling periods");
+int main(int argc, char** argv) {
+  const BenchOptions args = parse_args(argc, argv);
+  print_header("Ablation: TB dispatch structure + throttling periods",
+               args.scale);
 
-  const std::uint64_t L = quick_scale() ? 2048 : 8192;
+  const std::uint64_t L = args.quick() ? 2048 : 8192;
   const ModelShape model = ModelShape::llama3_70b();
 
   {

@@ -9,10 +9,11 @@
 using namespace llamcat;
 using namespace llamcat::bench;
 
-int main() {
-  print_header("Ablation: MA speculation structures vs oracle");
+int main(int argc, char** argv) {
+  const BenchOptions args = parse_args(argc, argv);
+  print_header("Ablation: MA speculation structures vs oracle", args.scale);
 
-  const std::uint64_t L = quick_scale() ? 2048 : 8192;
+  const std::uint64_t L = args.quick() ? 2048 : 8192;
   const ModelShape model = ModelShape::llama3_70b();
 
   // All cases run dynmg (the paper pairs arbitration with its throttling).

@@ -24,10 +24,11 @@ struct ParamPoint {
 
 }  // namespace
 
-int main() {
-  print_header("Ablation: dynmg throttle parameters");
+int main(int argc, char** argv) {
+  const BenchOptions args = parse_args(argc, argv);
+  print_header("Ablation: dynmg throttle parameters", args.scale);
 
-  const std::uint64_t L = quick_scale() ? 4096 : 16384;
+  const std::uint64_t L = args.quick() ? 4096 : 16384;
   const ModelShape model = ModelShape::llama3_70b();
 
   // --- part 1: in-core C_mem window (capacity regime) ---------------------
@@ -85,7 +86,7 @@ int main() {
   tg.print(std::cout);
 
   // --- part 3: Table 3 bands in the miss-handling-bound regime -------------
-  const std::uint64_t L_wave = quick_scale() ? 2048 : 8192;
+  const std::uint64_t L_wave = args.quick() ? 2048 : 8192;
   std::vector<ExperimentSpec> band_specs;
   {
     SimConfig cfg = mha_bound_config();

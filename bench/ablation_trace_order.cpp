@@ -13,10 +13,12 @@
 using namespace llamcat;
 using namespace llamcat::bench;
 
-int main() {
-  print_header("Ablation: trace order x policy under capacity pressure");
+int main(int argc, char** argv) {
+  const BenchOptions args = parse_args(argc, argv);
+  print_header("Ablation: trace order x policy under capacity pressure",
+               args.scale);
 
-  const std::uint64_t L = quick_scale() ? 4096 : 16384;
+  const std::uint64_t L = args.quick() ? 4096 : 16384;
   const ModelShape model = ModelShape::llama3_70b();
 
   const std::vector<NamedPolicy> policies = {

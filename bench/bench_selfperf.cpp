@@ -10,7 +10,7 @@
 // Per scenario: simulated cycles (deterministic - a change means engine
 // behavior changed, not just speed), best-of-N wall ms, simulated
 // Mcycles/s of wall time, and the process peak RSS after the run.
-// LLAMCAT_QUICK=1 drops to one reproduction per scenario for CI.
+// --scale=quick drops to one repetition per scenario for CI.
 //
 // Methodology (docs/testing.md "Self-benchmark"): every run is
 // single-threaded (run(1)) so the metric is raw engine speed, not host
@@ -172,15 +172,16 @@ std::uint64_t peak_rss_kb() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int reps = quick_scale() ? 1 : 3;
-  print_header("bench_selfperf: simulator wall-clock speed (BENCH trajectory)");
-  std::cout << "reps per scenario: " << reps
-            << (quick_scale() ? " (LLAMCAT_QUICK=1)" : "") << "\n\n";
+  JsonRows json;
+  const BenchOptions args = parse_args(argc, argv, &json);
+  print_header("bench_selfperf: simulator wall-clock speed (BENCH trajectory)",
+               args.scale);
+  const int reps = args.quick() ? 1 : 3;
+  std::cout << "reps per scenario: " << reps << "\n\n";
 
   TextTable table("simulator speed per scenario");
   table.set_header(
       {"scenario", "sim cycles", "best wall ms", "Mcyc/s", "peak RSS MB"});
-  JsonRows json;
   for (const Scenario& sc : matrix()) {
     DecodePassConfig pc;
     pc.num_layers = 2;
@@ -221,5 +222,5 @@ int main(int argc, char** argv) {
   std::cout << "\nsim cycles are deterministic: a diff there means engine\n"
                "behavior changed (regenerate the baseline); wall ms and\n"
                "Mcyc/s are what perf PRs move.\n";
-  return json.write_if_requested(argc, argv) ? 0 : 1;
+  return json.write_if_requested() ? 0 : 1;
 }

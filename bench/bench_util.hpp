@@ -2,16 +2,20 @@
 #pragma once
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "cli/options.hpp"
 #include "common/math_util.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
+#include "scenario/scenario.hpp"
 #include "sim/experiment.hpp"
 
 namespace llamcat::bench {
@@ -20,11 +24,15 @@ namespace llamcat::bench {
 /// written next to the human tables so CI can archive the perf trajectory
 /// across PRs. Usage:
 ///   JsonRows json;
+///   const BenchOptions args = parse_args(argc, argv, &json);  // --json=PATH
 ///   json.begin_row().field("policy", name).field("cycles", cycles);
 ///   ...
-///   json.write_if_requested(argc, argv);  // honors --json=PATH
+///   return json.write_if_requested() ? 0 : 1;
 class JsonRows {
  public:
+  /// Where write_if_requested writes; empty = nowhere.
+  std::string path;
+
   JsonRows& begin_row() {
     rows_.emplace_back();
     return *this;
@@ -51,21 +59,17 @@ class JsonRows {
     os << "]\n";
   }
 
-  /// Scans argv for --json=PATH and writes the rows there when present.
-  /// Returns false (after a diagnostic) only if the file cannot be opened.
-  bool write_if_requested(int argc, char** argv) const {
-    for (int i = 1; i < argc; ++i) {
-      const std::string_view arg(argv[i]);
-      if (arg.rfind("--json=", 0) != 0) continue;
-      const std::string path(arg.substr(7));
-      std::ofstream out(path);
-      if (!out) {
-        std::cerr << "cannot open " << path << "\n";
-        return false;
-      }
-      write(out);
-      std::cout << "wrote " << path << "\n";
+  /// Writes the rows to `path` when one was given. Returns false (after a
+  /// diagnostic) only if the file cannot be opened.
+  bool write_if_requested() const {
+    if (path.empty()) return true;
+    std::ofstream out(path);
+    if (!out) {
+      std::cerr << "cannot open " << path << "\n";
+      return false;
     }
+    write(out);
+    std::cout << "wrote " << path << "\n";
     return true;
   }
 
@@ -83,20 +87,30 @@ class JsonRows {
   std::vector<std::string> rows_;
 };
 
-/// True when LLAMCAT_PAPER_SCALE=1: run the paper's full problem sizes
-/// (32K sequences, both models everywhere). The default is a reduced scale
-/// that preserves every regime/shape but keeps the whole bench suite to
-/// minutes; each binary prints which scale it used.
-inline bool paper_scale() {
-  // lint:allow(ambient-env): a bench binary chooses its problem scale from its environment
-  const char* v = std::getenv("LLAMCAT_PAPER_SCALE");
-  return v != nullptr && std::string(v) == "1";
+/// Parses a bench's command line against `flags` (cli/options.hpp
+/// bench_flags). --help exits 0 with the usage; a flag the bench does not
+/// act on exits 2 with the usage.
+inline void parse_or_exit(int argc, char** argv,
+                          const std::vector<CliFlag>& flags) {
+  const std::string name = std::filesystem::path(argv[0]).filename();
+  if (const auto stop = parse_command_line(
+          flags, flags_usage("usage: " + name + " [--flag=value ...]\n", flags),
+          {argv + 1, argv + argc}, std::cout, std::cerr)) {
+    std::exit(*stop);
+  }
 }
 
-inline bool quick_scale() {
-  // lint:allow(ambient-env): a bench binary chooses its problem scale from its environment
-  const char* v = std::getenv("LLAMCAT_QUICK");
-  return v != nullptr && std::string(v) == "1";
+/// Parses a bench's command line: --scale, and --json=PATH into
+/// `json->path` when the bench writes JSON rows. The default scale is
+/// reduced but keeps every regime and shape, so the whole suite runs in
+/// minutes; quick is CI's smoke scale and paper the paper's full problem
+/// sizes.
+inline BenchOptions parse_args(int argc, char** argv,
+                               JsonRows* json = nullptr) {
+  BenchOptions opt;
+  std::string* json_path = json != nullptr ? &json->path : nullptr;
+  parse_or_exit(argc, argv, bench_flags(&opt.scale, json_path));
+  return opt;
 }
 
 struct NamedPolicy {
@@ -127,6 +141,30 @@ inline SimConfig base_config(
 /// Fig 7 / Fig 8 (§6.3).
 inline SimConfig mha_bound_config(std::uint64_t llc_mb = 16) {
   return base_config(llc_mb, TbDispatch::kPartitionedStealing);
+}
+
+/// The scaled-down machine of the serving-layer ablations: 4 cores, an
+/// `llc_mb` LLC over 2 slices and 2 DRAM channels, so co-resident KV
+/// streams genuinely contend. `max_cycles` is the run's safety stop.
+inline SimConfig contention_config(ThrottlePolicy thr, ArbPolicy arb,
+                                   std::uint64_t llc_mb = 1,
+                                   Cycle max_cycles = 200'000'000) {
+  SimConfig cfg = with_policies(SimConfig::table5(), thr, arb);
+  cfg.core.num_cores = 4;
+  cfg.llc.size_bytes = llc_mb << 20;
+  cfg.llc.num_slices = 2;
+  cfg.dram.num_channels = 2;
+  cfg.max_cycles = max_cycles;
+  return cfg;
+}
+
+/// Mean end-to-end request latency of a batch, in cycles.
+inline double mean_latency(const scenario::BatchStats& s) {
+  double sum = 0.0;
+  for (const scenario::RequestStats& r : s.per_request) {
+    sum += static_cast<double>(r.latency());
+  }
+  return sum / static_cast<double>(s.per_request.size());
 }
 
 inline ModelShape model_by_name(const std::string& name) {
@@ -165,15 +203,19 @@ inline std::string seq_label(std::uint64_t L) {
   return std::to_string(L);
 }
 
-inline void print_header(const std::string& what) {
+/// The bench's title and, for a bench that takes --scale, its scale.
+inline void print_header(const std::string& what,
+                         std::optional<Scale> scale = std::nullopt) {
   std::cout << "\n==========================================================\n"
-            << what << "\n"
-            << "scale: "
-            << (paper_scale() ? "paper (LLAMCAT_PAPER_SCALE=1)"
-                              : "default (set LLAMCAT_PAPER_SCALE=1 for the "
-                                "paper's full sizes)")
-            << "\n"
-            << "==========================================================\n";
+            << what << "\n";
+  if (scale) {
+    std::cout << "scale: " << to_string(*scale)
+              << (scale == Scale::kDefault
+                      ? " (--scale=paper runs the paper's full sizes)"
+                      : "")
+              << "\n";
+  }
+  std::cout << "==========================================================\n";
 }
 
 }  // namespace llamcat::bench

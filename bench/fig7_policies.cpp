@@ -12,12 +12,14 @@
 using namespace llamcat;
 using namespace llamcat::bench;
 
-int main() {
-  print_header("Figure 7: throttling & arbitration policy speedups (Logit)");
+int main(int argc, char** argv) {
+  const BenchOptions args = parse_args(argc, argv);
+  print_header("Figure 7: throttling & arbitration policy speedups (Logit)",
+               args.scale);
 
   const std::vector<std::uint64_t> seqs =
-      quick_scale() ? std::vector<std::uint64_t>{1024, 2048}
-                    : std::vector<std::uint64_t>{4096, 8192, 16384};
+      args.quick() ? std::vector<std::uint64_t>{1024, 2048}
+                   : std::vector<std::uint64_t>{4096, 8192, 16384};
 
   const std::vector<NamedPolicy> policies = {
       {"unopt", ThrottlePolicy::kNone, ArbPolicy::kFcfs},

@@ -7,10 +7,12 @@
 using namespace llamcat;
 using namespace llamcat::bench;
 
-int main() {
-  print_header("Figure 8: policy mechanism on llama3-70b, L=8K, 16MB LLC");
+int main(int argc, char** argv) {
+  const BenchOptions args = parse_args(argc, argv);
+  print_header("Figure 8: policy mechanism on llama3-70b, L=8K, 16MB LLC",
+               args.scale);
 
-  const std::uint64_t L = quick_scale() ? 2048 : 8192;
+  const std::uint64_t L = args.quick() ? 2048 : 8192;
   const std::vector<NamedPolicy> policies = {
       {"unopt", ThrottlePolicy::kNone, ArbPolicy::kFcfs},
       {"dyncta", ThrottlePolicy::kDyncta, ArbPolicy::kFcfs},

@@ -1,21 +1,23 @@
 // Reproduces paper Figure 9: cache-size sensitivity with long sequences.
 // All policies at LLC = 16/32/64 MB, normalized against unoptimized@32MB.
 // Paper: 32K sequences for both models; default scale runs llama3-70b at
-// 16K (the working-set-overflow regime starts there), LLAMCAT_PAPER_SCALE=1
+// 16K (the working-set-overflow regime starts there), --scale=paper
 // runs the full 32K on both models.
 #include "bench_util.hpp"
 
 using namespace llamcat;
 using namespace llamcat::bench;
 
-int main() {
-  print_header("Figure 9: throttling/arbitration under cache-size pressure");
+int main(int argc, char** argv) {
+  const BenchOptions args = parse_args(argc, argv);
+  print_header("Figure 9: throttling/arbitration under cache-size pressure",
+               args.scale);
 
   const std::uint64_t L =
-      quick_scale() ? 4096 : (paper_scale() ? 32768 : 16384);
+      args.quick() ? 4096 : (args.paper() ? 32768 : 16384);
   const std::vector<std::string> models =
-      paper_scale() ? std::vector<std::string>{"70b", "405b"}
-                    : std::vector<std::string>{"70b"};
+      args.paper() ? std::vector<std::string>{"70b", "405b"}
+                   : std::vector<std::string>{"70b"};
   const std::vector<std::uint64_t> cache_mb = {16, 32, 64};
 
   const std::vector<NamedPolicy> policies = {

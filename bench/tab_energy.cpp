@@ -8,10 +8,11 @@
 using namespace llamcat;
 using namespace llamcat::bench;
 
-int main() {
-  print_header("Extension: energy per policy (post-hoc model)");
+int main(int argc, char** argv) {
+  const BenchOptions args = parse_args(argc, argv);
+  print_header("Extension: energy per policy (post-hoc model)", args.scale);
 
-  const std::uint64_t L = quick_scale() ? 2048 : 8192;
+  const std::uint64_t L = args.quick() ? 2048 : 8192;
   const ModelShape model = ModelShape::llama3_70b();
   const EnergyConfig energy;
 

@@ -10,7 +10,8 @@
 using namespace llamcat;
 using namespace llamcat::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  parse_or_exit(argc, argv, bench_flags(nullptr, nullptr));  // --help only
   print_header("§6.1 hardware cost: arbiter + hit buffer area @15nm");
 
   const SimConfig cfg = SimConfig::table5();

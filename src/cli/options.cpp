@@ -223,13 +223,122 @@ constexpr std::string_view kPolicy = "policy";
 constexpr std::string_view kMachine =
     "machine overrides (defaults are the paper's Table 5)";
 constexpr std::string_view kOutput = "output";
+/// The one section of the small tables of llamcat_stress, llamcat_lint and
+/// the benches.
+constexpr std::string_view kOptions = "options";
 
 /// Help text starts at column 21; a left part too long for that starts it
 /// at column 24, or two spaces past the left part.
 constexpr std::size_t kHelpColumn = 21;
 constexpr std::size_t kWideHelpColumn = 24;
 
+constexpr EnumName<Scale> kScaleNames[] = {{Scale::kQuick, "quick"},
+                                           {Scale::kDefault, "default"},
+                                           {Scale::kPaper, "paper"}};
+
+CliFlag help_flag() {
+  return {"help", "", kOptions, "this text", {FlagKind::kHelp}};
+}
+
 }  // namespace
+
+FlagParse parse_flags(const std::vector<CliFlag>& flags,
+                      const std::vector<std::string_view>& args) {
+  FlagParse result;
+  for (const std::string_view arg : args) {
+    if (arg == "-h") {
+      result.help_requested = true;
+      return result;
+    }
+    if (arg.substr(0, 2) != "--") {
+      result.positionals.push_back(arg);
+      continue;
+    }
+    const std::size_t eq = arg.find('=');
+    const std::string_view key = arg.substr(2, eq - 2);
+    const auto flag =
+        std::find_if(flags.begin(), flags.end(),
+                     [key](const CliFlag& f) { return f.name == key; });
+    if (flag == flags.end()) {
+      result.error = "unknown flag: --" + std::string(key);
+      return result;
+    }
+    const FlagKind kind = flag->bind.kind;
+    const bool bare = kind == FlagKind::kHelp || kind == FlagKind::kSwitch;
+    if (bare != (eq == std::string_view::npos)) {
+      result.error = "unrecognized argument: " + std::string(arg);
+      return result;
+    }
+    if (kind == FlagKind::kHelp) {
+      result.help_requested = true;
+      return result;
+    }
+    const std::string_view val = bare ? "" : arg.substr(eq + 1);
+    if (!flag->bind.set(val)) {
+      result.error = "bad --" + std::string(key) + ": \"" + std::string(val) +
+                     "\" (" + flag->bind.expect + ")";
+      return result;
+    }
+    result.given.push_back(&*flag);
+  }
+  return result;
+}
+
+std::string flags_usage(std::string_view header,
+                        const std::vector<CliFlag>& flags) {
+  std::string out(header);
+  std::string_view section;
+  for (const CliFlag& f : flags) {
+    if (f.section != section) {
+      section = f.section;
+      out.append("\n").append(section).append("\n");
+    }
+    std::string left = "  --" + std::string(f.name);
+    if (!f.metavar.empty()) left.append("=").append(f.metavar);
+    left.resize(left.size() < kHelpColumn
+                    ? kHelpColumn
+                    : std::max(kWideHelpColumn, left.size() + 2),
+                ' ');
+    std::string help(f.help);
+    for (std::size_t nl = 0; (nl = help.find('\n', nl)) != std::string::npos;)
+      help.insert(++nl, kHelpColumn, ' ');
+    out += left + help + "\n";
+  }
+  return out;
+}
+
+std::optional<int> report_usage_stop(bool help_requested,
+                                     std::string_view error,
+                                     std::string_view usage, std::ostream& out,
+                                     std::ostream& err) {
+  if (help_requested) {
+    out << usage;
+    return 0;
+  }
+  if (!error.empty()) {
+    err << "error: " << error << "\n\n" << usage;
+    return 2;
+  }
+  return std::nullopt;
+}
+
+std::optional<int> parse_command_line(
+    const std::vector<CliFlag>& flags, std::string_view usage,
+    const std::vector<std::string_view>& args, std::ostream& out,
+    std::ostream& err, std::vector<std::string_view>* positionals) {
+  FlagParse parsed = parse_flags(flags, args);
+  if (parsed.error.empty() && positionals == nullptr &&
+      !parsed.positionals.empty()) {
+    parsed.error =
+        "unrecognized argument: " + std::string(parsed.positionals.front());
+  }
+  if (const auto stop = report_usage_stop(parsed.help_requested, parsed.error,
+                                          usage, out, err)) {
+    return stop;
+  }
+  if (positionals != nullptr) *positionals = std::move(parsed.positionals);
+  return std::nullopt;
+}
 
 std::optional<ModelShape> model_from_string(std::string_view s) {
   const auto make = lookup_name(NameTable<ModelFactory>(kModels), s);
@@ -363,6 +472,12 @@ std::vector<CliFlag> cli_flags(CliOptions& o) {
        "request-aware core dispatch for fused sources:\n"
        "shared (default) | interleave | partitioned",
        choice(&o.cfg.core.request_dispatch)},
+      {"audit", "", kBatch,
+       "continuous only: check every serving event against the\n"
+       "invariant contract's shadow KV ledger\n"
+       "(scenario/invariants.hpp); the run fails on the first\n"
+       "broken invariant",
+       on(&o.pass.audit)},
       // -- open-loop traffic -------------------------------------------------
       {"traffic", "P", kTraffic,
        "generate the request list from a seeded arrival\n"
@@ -469,28 +584,11 @@ std::vector<CliFlag> cli_flags(CliOptions& o) {
 }
 
 std::string cli_usage() {
-  std::string out =
-      "llamcat_cli - run one LLaMCAT simulation (Table 5 machine by "
-      "default)\n\nusage: llamcat_cli [--flag=value ...]\n";
   CliOptions unused;
-  std::string_view section;
-  for (const CliFlag& f : cli_flags(unused)) {
-    if (f.section != section) {
-      section = f.section;
-      out += "\n" + std::string(section) + "\n";
-    }
-    std::string left = "  --" + std::string(f.name);
-    if (!f.metavar.empty()) left += "=" + std::string(f.metavar);
-    left.resize(left.size() < kHelpColumn
-                    ? kHelpColumn
-                    : std::max(kWideHelpColumn, left.size() + 2),
-                ' ');
-    std::string help(f.help);
-    for (std::size_t nl = 0; (nl = help.find('\n', nl)) != std::string::npos;)
-      help.insert(++nl, kHelpColumn, ' ');
-    out += left + help + "\n";
-  }
-  return out;
+  return flags_usage(
+      "llamcat_cli - run one LLaMCAT simulation (Table 5 machine by "
+      "default)\n\nusage: llamcat_cli [--flag=value ...]\n",
+      cli_flags(unused));
 }
 
 ParseResult parse_cli_options(const std::vector<std::string_view>& args) {
@@ -503,42 +601,21 @@ ParseResult parse_cli_options(const std::vector<std::string_view>& args) {
     result.error = msg;
     return result;
   };
-  std::vector<const CliFlag*> given;  // in command-line order
+  const FlagParse parsed = parse_flags(flags, args);
+  if (parsed.help_requested) {
+    result.help_requested = true;
+    return result;
+  }
+  if (!parsed.error.empty()) return fail(parsed.error);
+  if (!parsed.positionals.empty()) {
+    return fail("unrecognized argument: " +
+                std::string(parsed.positionals.front()));
+  }
+  const std::vector<const CliFlag*>& given = parsed.given;
   const auto was_given = [&given](std::string_view name) {
     return std::any_of(given.begin(), given.end(),
                        [name](const CliFlag* f) { return f->name == name; });
   };
-
-  for (const std::string_view arg : args) {
-    if (arg == "-h") {
-      result.help_requested = true;
-      return result;
-    }
-    if (arg.substr(0, 2) != "--") {
-      return fail("unrecognized argument: " + std::string(arg));
-    }
-    const std::size_t eq = arg.find('=');
-    const std::string_view key = arg.substr(2, eq - 2);
-    const auto flag =
-        std::find_if(flags.begin(), flags.end(),
-                     [key](const CliFlag& f) { return f.name == key; });
-    if (flag == flags.end()) return fail("unknown flag: --" + std::string(key));
-    const FlagKind kind = flag->bind.kind;
-    const bool bare = kind == FlagKind::kHelp || kind == FlagKind::kSwitch;
-    if (bare != (eq == std::string_view::npos)) {
-      return fail("unrecognized argument: " + std::string(arg));
-    }
-    if (kind == FlagKind::kHelp) {
-      result.help_requested = true;
-      return result;
-    }
-    const std::string_view val = bare ? "" : arg.substr(eq + 1);
-    if (!flag->bind.set(val)) {
-      return fail("bad --" + std::string(key) + ": \"" + std::string(val) +
-                  "\" (" + flag->bind.expect + ")");
-    }
-    given.push_back(&*flag);
-  }
 
   opt.traffic = was_given("traffic");
   opt.traffic_cfg.num_requests = opt.batch_requests;
@@ -598,6 +675,10 @@ ParseResult parse_cli_options(const std::vector<std::string_view>& args) {
       pass.mode != ExecutionMode::kContinuous) {
     return fail("--arrivals requires --mode=continuous (the barrier modes "
                 "have no notion of mid-pass admission)");
+  }
+  if (pass.audit && pass.mode != ExecutionMode::kContinuous) {
+    return fail("--audit requires --mode=continuous (the auditor checks "
+                "serving events, which only the continuous engine has)");
   }
   if (!serving.unconditional() && pass.mode != ExecutionMode::kContinuous) {
     return fail("--admit-policy requires --mode=continuous (the barrier "
@@ -671,6 +752,55 @@ ParseResult parse_cli_options(const std::vector<std::string_view>& args) {
   }
   result.options = std::move(opt);
   return result;
+}
+
+NameTable<Scale> enum_names(Scale) { return kScaleNames; }
+
+std::vector<CliFlag> stress_flags(StressOptions& o) {
+  return {
+      {"runs", "N", kOptions, "number of seeds to fuzz (default 200)",
+       uint(&o.runs, 1)},
+      {"jobs", "N", kOptions,
+       "worker threads for the sweep; 0 = all cores (default 1);\n"
+       "output is identical for any job count",
+       uint(&o.jobs, 0)},
+      {"seed", "S", kOptions, "base seed; run i uses seed S+i (default 1)",
+       uint(&o.base_seed, 0)},
+      {"replay", "S", kOptions,
+       "run exactly the one seed S (what a failure report\n"
+       "suggests)",
+       uint(&o.replay, 0, kU64)},
+      {"verbose", "", kOptions, "print every scenario, not just failures",
+       on(&o.verbose)},
+      help_flag(),
+  };
+}
+
+std::vector<CliFlag> lint_flags(LintOptions& o) {
+  return {
+      {"list-rules", "", kOptions, "print the rule catalog and exit",
+       on(&o.list_rules)},
+      {"json", "PATH", kOptions, "also write findings as JSON (\"-\" = stdout)",
+       path(&o.json_path)},
+      help_flag(),
+  };
+}
+
+std::vector<CliFlag> bench_flags(Scale* scale, std::string* json_path) {
+  std::vector<CliFlag> flags;
+  if (scale != nullptr) {
+    flags.push_back({"scale", "S", kOptions,
+                     "problem scale: quick (CI smoke sizes) | default |\n"
+                     "paper (the paper's full sizes; slow)",
+                     choice(scale)});
+  }
+  if (json_path != nullptr) {
+    flags.push_back({"json", "PATH", kOptions,
+                     "also write the measurement rows as JSON",
+                     path(json_path)});
+  }
+  flags.push_back(help_flag());
+  return flags;
 }
 
 }  // namespace llamcat

@@ -1,26 +1,104 @@
-// Command-line option parsing for llamcat_cli. Kept in the
-// library (not the tool) so the flag vocabulary is testable and reusable by
-// scripts embedding the simulator. It sits above both `sim/` and
-// `scenario/`: the options hold the scenario configs they feed.
+// Command-line parsing for every binary, kept in the library (not the
+// tools) so each flag vocabulary is testable and reusable by scripts
+// embedding the simulator. It sits above both `sim/` and `scenario/`: the
+// options hold the scenario configs they feed.
 //
-// One flag registry (`cli_flags`) drives parsing, the --help text and the
-// value diagnostics; the cross-flag checks that carry a written reason stay
-// as code in parse_cli_options.
+// One flag registry: a binary declares a table of CliFlag rows, and that
+// table drives parsing, the --help text and the value diagnostics.
+// llamcat_cli's table (`cli_flags`) is the big one; the cross-flag checks
+// that carry a written reason stay as code in parse_cli_options.
+// llamcat_stress, llamcat_lint and the benches (bench/bench_util.hpp)
+// declare a few rows each.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/enum_names.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/traffic.hpp"
 #include "trace/operator.hpp"
 
 namespace llamcat {
+
+// -- the registry -----------------------------------------------------------
+
+/// What kind of value a flag takes.
+enum class FlagKind : std::uint8_t {
+  kHelp,      // --help
+  kSwitch,    // bare --flag
+  kUint,      // bounded unsigned integer
+  kUintList,  // comma-separated unsigned integers (or a LO,HI pair)
+  kDouble,    // finite number in a range
+  kEnum,      // one name of a fixed vocabulary
+  kPath,      // any string
+};
+
+/// What kind of value a flag takes and where it is stored.
+struct FlagBinding {
+  FlagKind kind = FlagKind::kHelp;
+  /// Parses and stores a value; false when it is malformed.
+  std::function<bool(std::string_view)> set = nullptr;
+  /// What a well-formed value looks like, for diagnostics.
+  std::string expect = "";
+  /// A per-request list: its arity is checked against the batch size.
+  const std::vector<std::uint64_t>* list = nullptr;
+};
+
+/// One registry entry.
+struct CliFlag {
+  std::string_view name;     // without the leading "--"
+  std::string_view metavar;  // empty for switches
+  std::string_view section;  // the --help heading it is listed under
+  std::string_view help;     // '\n'-separated help lines
+  FlagBinding bind;
+  /// Shapes the generated workload, so it requires --traffic.
+  bool needs_traffic = false;
+};
+
+/// What parse_flags made of a command line.
+struct FlagParse {
+  bool help_requested = false;
+  std::string error;  // non-empty on failure
+  /// The arguments that do not start with "--", in command-line order.
+  std::vector<std::string_view> positionals;
+  /// The flags given, in command-line order.
+  std::vector<const CliFlag*> given;
+};
+
+/// Parses `args` (without argv[0]) against `flags`, storing every value
+/// through its binding. Stops at the first help request (`-h` or a kHelp
+/// flag), unknown flag or malformed value.
+FlagParse parse_flags(const std::vector<CliFlag>& flags,
+                      const std::vector<std::string_view>& args);
+
+/// `header`, then every flag with its help, grouped under section headings.
+std::string flags_usage(std::string_view header,
+                        const std::vector<CliFlag>& flags);
+
+/// Every binary's usage contract: a help request prints `usage` to `out`
+/// and returns 0; a non-empty `error` prints "error: <error>" and `usage`
+/// to `err` and returns 2. Otherwise nullopt: the binary should run.
+std::optional<int> report_usage_stop(bool help_requested,
+                                     std::string_view error,
+                                     std::string_view usage, std::ostream& out,
+                                     std::ostream& err);
+
+/// The front door of a binary configured by `flags` alone: parses `args`
+/// and reports through report_usage_stop. Any positional is an error
+/// unless `positionals` collects them.
+std::optional<int> parse_command_line(
+    const std::vector<CliFlag>& flags, std::string_view usage,
+    const std::vector<std::string_view>& args, std::ostream& out,
+    std::ostream& err, std::vector<std::string_view>* positionals = nullptr);
+
+// -- llamcat_cli ------------------------------------------------------------
 
 /// "llama3-70b" / "70b" / ... -> the model's shape.
 std::optional<ModelShape> model_from_string(std::string_view s);
@@ -81,39 +159,6 @@ struct CliOptions {
   bool verbose = false;
 };
 
-/// What kind of value a flag takes.
-enum class FlagKind : std::uint8_t {
-  kHelp,      // --help
-  kSwitch,    // bare --flag
-  kUint,      // bounded unsigned integer
-  kUintList,  // comma-separated unsigned integers (or a LO,HI pair)
-  kDouble,    // finite number in a range
-  kEnum,      // one name of a fixed vocabulary
-  kPath,      // any string
-};
-
-/// What kind of value a flag takes and where it is stored.
-struct FlagBinding {
-  FlagKind kind = FlagKind::kHelp;
-  /// Parses and stores a value; false when it is malformed.
-  std::function<bool(std::string_view)> set = nullptr;
-  /// What a well-formed value looks like, for diagnostics.
-  std::string expect = "";
-  /// A per-request list: its arity is checked against the batch size.
-  const std::vector<std::uint64_t>* list = nullptr;
-};
-
-/// One registry entry.
-struct CliFlag {
-  std::string_view name;     // without the leading "--"
-  std::string_view metavar;  // empty for switches
-  std::string_view section;  // the --help heading it is listed under
-  std::string_view help;     // '\n'-separated help lines
-  FlagBinding bind;
-  /// Shapes the generated workload, so it requires --traffic.
-  bool needs_traffic = false;
-};
-
 /// The flag registry in --help order, bound to the fields of `opt`.
 std::vector<CliFlag> cli_flags(CliOptions& opt);
 
@@ -133,5 +178,51 @@ ParseResult parse_cli_options(const std::vector<std::string_view>& args);
 
 /// The --help text.
 std::string cli_usage();
+
+/// llamcat_cli itself (cli_main.cpp): parses `args` (without argv[0]) and
+/// runs. The run's report goes to `out`, diagnostics to `err`. Returns the
+/// exit code: 0 = success, 1 = a failed run or export, 2 = bad usage or an
+/// invalid configuration.
+int cli_main(const std::vector<std::string_view>& args, std::ostream& out,
+             std::ostream& err);
+
+// -- llamcat_stress, llamcat_lint, benches ----------------------------------
+
+/// llamcat_stress's options.
+struct StressOptions {
+  std::uint64_t runs = 200;
+  std::uint64_t jobs = 1;
+  std::uint64_t base_seed = 1;
+  std::optional<std::uint64_t> replay;
+  bool verbose = false;
+};
+std::vector<CliFlag> stress_flags(StressOptions& opt);
+
+/// llamcat_lint's options; its input paths are the positionals.
+struct LintOptions {
+  bool list_rules = false;
+  std::string json_path;  // empty = no JSON; "-" = stdout
+};
+std::vector<CliFlag> lint_flags(LintOptions& opt);
+
+/// A bench's problem scale.
+enum class Scale : std::uint8_t {
+  kQuick,    // CI smoke: the smallest workloads that still show the effect
+  kDefault,  // every regime and shape kept, the whole suite in minutes
+  kPaper,    // the paper's full problem sizes (32K sequences, both models)
+};
+NameTable<Scale> enum_names(Scale);
+
+/// A bench's options.
+struct BenchOptions {
+  Scale scale = Scale::kDefault;
+
+  [[nodiscard]] bool quick() const { return scale == Scale::kQuick; }
+  [[nodiscard]] bool paper() const { return scale == Scale::kPaper; }
+};
+/// A bench's table: --scale into `*scale` and --json into `*json_path`. A
+/// null pointer leaves its row out, so a bench takes only the flags it
+/// acts on.
+std::vector<CliFlag> bench_flags(Scale* scale, std::string* json_path);
 
 }  // namespace llamcat

@@ -7,8 +7,8 @@
 //  - the seeded-corpus regression suite (tests/test_serving_fuzz.cpp)
 //    replays pinned seeds through the same checks on every CI run;
 //  - run_continuous itself feeds the in-engine ledger auditor when
-//    DecodePassConfig::audit is set (llamcat_cli sets it from
-//    LLAMCAT_AUDIT=1), catching a violation on the exact cycle it happens
+//    DecodePassConfig::audit is set (llamcat_cli sets it from --audit),
+//    catching a violation on the exact cycle it happens
 //    instead of post-mortem.
 //
 // The contract (docs/testing.md is the prose version):

@@ -160,7 +160,7 @@ struct DecodePassConfig {
   /// kContinuous: feed every serving event (admit/resume/evict/finish)
   /// through the in-engine ledger auditor (scenario/invariants.hpp), which
   /// throws InvariantViolation on the cycle an invariant breaks. Stats are
-  /// unaffected either way. llamcat_cli sets it from LLAMCAT_AUDIT=1.
+  /// unaffected either way. llamcat_cli sets it from --audit.
   bool audit = false;
 
   /// Throws std::invalid_argument on an inconsistent pass shape; delegates

@@ -1,8 +1,10 @@
 // CLI option-parsing tests: the string->enum vocabulary, policy combos,
-// full command lines, override plumbing into SimConfig, and diagnostics.
+// full command lines, override plumbing into SimConfig, and diagnostics;
+// the shared flag parser and the tool and bench tables.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -515,6 +517,19 @@ TEST(ParseCli, PositionalArgumentsRejected) {
   EXPECT_FALSE(parse({"--"}).ok());
 }
 
+TEST(ParseCli, AuditSwitchArmsTheAuditor) {
+  EXPECT_FALSE(parse({"--op=batch", "--mode=continuous"}).options->pass.audit);
+  const ParseResult r = parse({"--op=batch", "--mode=continuous", "--audit"});
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_TRUE(r.options->pass.audit);
+  EXPECT_FALSE(parse({"--op=batch", "--mode=continuous", "--audit=1"}).ok());
+  // The barrier modes have no serving events to audit.
+  const ParseResult barrier = parse({"--op=batch", "--audit"});
+  ASSERT_FALSE(barrier.ok());
+  EXPECT_NE(barrier.error.find("--audit requires --mode=continuous"),
+            std::string::npos);
+}
+
 TEST(ParseCli, InvalidGeometryCaughtByValidate) {
   // Three slices: not a power of two -> SimConfig::validate rejects.
   const ParseResult r = parse({"--slices=3"});
@@ -535,7 +550,7 @@ TEST(ParseCli, UsageMentionsEveryFlag) {
         "--traffic-seed", "--traffic-gap", "--traffic-seq",
         "--traffic-seq-dist", "--traffic-sigma", "--traffic-steps",
         "--traffic-groups", "--traffic-zipf", "--traffic-share-pct",
-        "--trace-out", "--trace-in", "--digest"}) {
+        "--trace-out", "--trace-in", "--digest", "--audit"}) {
     EXPECT_NE(usage.find(flag), std::string::npos) << flag;
   }
 }
@@ -714,6 +729,159 @@ TEST(ParseCli, TraceFlagsCrossChecked) {
   // --digest is defined over batch runs only.
   EXPECT_TRUE(parse({"--op=batch", "--digest"}).ok());
   EXPECT_FALSE(parse({"--digest"}).ok());
+}
+
+// ------------------------------------------------------ the shared parser --
+// Pinned through the small tables of llamcat_stress, llamcat_lint and the
+// benches, which between them cover every binding the parser serves.
+
+TEST(SharedParser, CollectsPositionalsInOrder) {
+  LintOptions o;
+  const std::vector<CliFlag> flags = lint_flags(o);
+  const FlagParse p =
+      parse_flags(flags, {"src", "--json=-", "tools", "--list-rules"});
+  EXPECT_EQ(p.error, "");
+  EXPECT_EQ(p.positionals, (std::vector<std::string_view>{"src", "tools"}));
+  EXPECT_EQ(o.json_path, "-");
+  EXPECT_TRUE(o.list_rules);
+  ASSERT_EQ(p.given.size(), 2u);
+  EXPECT_EQ(p.given[0]->name, "json");
+  EXPECT_EQ(p.given[1]->name, "list-rules");
+
+  // The front door rejects positionals unless the binary collects them.
+  std::ostringstream out;
+  std::ostringstream err;
+  StressOptions stress;
+  EXPECT_EQ(parse_command_line(stress_flags(stress), "usage\n", {"x"}, out,
+                               err),
+            2);
+  EXPECT_EQ(err.str(), "error: unrecognized argument: x\n\nusage\n");
+  std::vector<std::string_view> positionals;
+  EXPECT_EQ(parse_command_line(flags, "usage\n", {"x", "--list-rules"}, out,
+                               err, &positionals),
+            std::nullopt);
+  EXPECT_EQ(positionals, std::vector<std::string_view>{"x"});
+
+  // llamcat_cli takes none.
+  const ParseResult cli = parse({"--seq=256", "llama3"});
+  EXPECT_FALSE(cli.ok());
+  EXPECT_EQ(cli.error, "unrecognized argument: llama3");
+}
+
+TEST(SharedParser, UnknownFlagReportedByName) {
+  StressOptions o;
+  const FlagParse p =
+      parse_flags(stress_flags(o), {"--verbose", "--frobnicate=2"});
+  EXPECT_EQ(p.error, "unknown flag: --frobnicate");
+  EXPECT_EQ(parse_flags(stress_flags(o), {"--"}).error, "unknown flag: --");
+}
+
+TEST(SharedParser, MalformedValueReported) {
+  StressOptions o;
+  EXPECT_EQ(parse_flags(stress_flags(o), {"--runs=3x"}).error,
+            "bad --runs: \"3x\" (expect a positive 64-bit integer)");
+  EXPECT_EQ(parse_flags(stress_flags(o), {"--jobs=-1"}).error,
+            "bad --jobs: \"-1\" (expect an unsigned 64-bit integer)");
+  // Switches take no value and value flags need one.
+  EXPECT_EQ(parse_flags(stress_flags(o), {"--verbose=1"}).error,
+            "unrecognized argument: --verbose=1");
+  EXPECT_EQ(parse_flags(stress_flags(o), {"--runs"}).error,
+            "unrecognized argument: --runs");
+  EXPECT_EQ(o.runs, 200u);
+  EXPECT_FALSE(o.verbose);
+}
+
+TEST(SharedParser, HelpShortCircuits) {
+  StressOptions o;
+  const std::vector<CliFlag> flags = stress_flags(o);
+  for (const std::string_view help : {"-h", "--help"}) {
+    const FlagParse p = parse_flags(flags, {help, "--runs=0", "--bogus"});
+    EXPECT_TRUE(p.help_requested) << help;
+    EXPECT_EQ(p.error, "") << help;
+  }
+  // Arguments before the request are still parsed.
+  EXPECT_NE(parse_flags(flags, {"--bogus", "-h"}).error, "");
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(parse_command_line(flags, "usage\n", {"-h", "x"}, out, err), 0);
+  EXPECT_EQ(out.str(), "usage\n");
+  EXPECT_EQ(err.str(), "");
+}
+
+TEST(SharedParser, UsageListsFlagsUnderTheirSection) {
+  StressOptions o;
+  EXPECT_EQ(flags_usage("usage: llamcat_stress\n", stress_flags(o)),
+            "usage: llamcat_stress\n"
+            "\n"
+            "options\n"
+            "  --runs=N           number of seeds to fuzz (default 200)\n"
+            "  --jobs=N           worker threads for the sweep; 0 = all cores "
+            "(default 1);\n"
+            "                     output is identical for any job count\n"
+            "  --seed=S           base seed; run i uses seed S+i (default 1)\n"
+            "  --replay=S         run exactly the one seed S (what a failure "
+            "report\n"
+            "                     suggests)\n"
+            "  --verbose          print every scenario, not just failures\n"
+            "  --help             this text\n");
+}
+
+// ------------------------------------------------- tool and bench tables --
+
+TEST(ToolFlags, ScaleVocabulary) {
+  BenchOptions o;
+  const FlagParse bad =
+      parse_flags(bench_flags(&o.scale, nullptr), {"--scale=fast"});
+  EXPECT_EQ(bad.error,
+            "bad --scale: \"fast\" (expect one of: quick, default, paper)");
+  EXPECT_EQ(o.scale, Scale::kDefault);
+  for (const auto& [name, scale] :
+       {std::pair{"quick", Scale::kQuick},
+        std::pair{"default", Scale::kDefault},
+        std::pair{"paper", Scale::kPaper}}) {
+    const std::string arg = std::string("--scale=") + name;
+    EXPECT_EQ(parse_flags(bench_flags(&o.scale, nullptr), {arg}).error, "")
+        << name;
+    EXPECT_EQ(o.scale, scale) << name;
+    EXPECT_EQ(to_string(scale), name);
+  }
+  EXPECT_TRUE(o.paper());
+  EXPECT_FALSE(o.quick());
+}
+
+TEST(ToolFlags, BenchesTakeOnlyTheFlagsTheyActOn) {
+  Scale scale = Scale::kDefault;
+  std::string json;
+  EXPECT_EQ(parse_flags(bench_flags(&scale, nullptr), {"--json=out.json"})
+                .error,
+            "unknown flag: --json");
+  EXPECT_EQ(parse_flags(bench_flags(&scale, &json), {"--json=out.json"})
+                .error,
+            "");
+  EXPECT_EQ(json, "out.json");
+  // A bench whose output is the same at every scale takes no --scale.
+  EXPECT_EQ(parse_flags(bench_flags(nullptr, nullptr), {"--scale=quick"})
+                .error,
+            "unknown flag: --scale");
+  EXPECT_TRUE(parse_flags(bench_flags(nullptr, nullptr), {"--help"})
+                  .help_requested);
+}
+
+TEST(ToolFlags, StressTable) {
+  StressOptions o;
+  const FlagParse zero = parse_flags(stress_flags(o), {"--runs=0"});
+  EXPECT_EQ(zero.error,
+            "bad --runs: \"0\" (expect a positive 64-bit integer)");
+  EXPECT_EQ(o.runs, 200u);
+  const FlagParse p = parse_flags(
+      stress_flags(o),
+      {"--runs=50", "--jobs=0", "--seed=42", "--replay=7", "--verbose"});
+  EXPECT_EQ(p.error, "");
+  EXPECT_EQ(o.runs, 50u);
+  EXPECT_EQ(o.jobs, 0u);
+  EXPECT_EQ(o.base_seed, 42u);
+  EXPECT_EQ(o.replay, std::optional<std::uint64_t>{7});
+  EXPECT_TRUE(o.verbose);
 }
 
 }  // namespace

@@ -15,16 +15,14 @@
 #include <string_view>
 #include <vector>
 
+#include "cli/options.hpp"
 #include "lint/lint.hpp"
 
 namespace {
 
-constexpr const char* kUsage = R"(usage: llamcat_lint [options] <path>...
-  <path>       file, or directory scanned recursively for .cpp/.hpp/.cc/.h
-  --list-rules print the rule catalog and exit
-  --json=PATH  also write findings as JSON ("-" = stdout)
-  --help       this text
-)";
+constexpr std::string_view kUsageHeader =
+    "usage: llamcat_lint [--flag=value ...] PATH...\n"
+    "  PATH: a file, or a directory scanned recursively for .cpp/.hpp/.cc/.h\n";
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -61,36 +59,26 @@ void write_json(std::ostream& os, std::size_t files,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> paths;
-  std::string json_path;
-  bool list_rules = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      std::cout << kUsage;
-      return 0;
-    } else if (arg == "--list-rules") {
-      list_rules = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_path = std::string(arg.substr(7));
-    } else if (arg.rfind("--", 0) == 0) {
-      std::cerr << "error: unknown option '" << arg << "'\n" << kUsage;
-      return 2;
-    } else {
-      paths.emplace_back(arg);
-    }
+  llamcat::LintOptions opt;
+  const std::vector<llamcat::CliFlag> flags = llamcat::lint_flags(opt);
+  const std::string usage = llamcat::flags_usage(kUsageHeader, flags);
+  std::vector<std::string_view> inputs;
+  if (const auto stop =
+          llamcat::parse_command_line(flags, usage, {argv + 1, argv + argc},
+                                      std::cout, std::cerr, &inputs)) {
+    return *stop;
   }
-
-  if (list_rules) {
+  if (opt.list_rules) {
     for (const auto& r : llamcat::lint::rules()) {
       std::cout << r.name << "\n    " << r.summary << "\n";
     }
     return 0;
   }
-  if (paths.empty()) {
-    std::cerr << "error: no inputs\n" << kUsage;
+  if (inputs.empty()) {
+    std::cerr << "error: no inputs\n\n" << usage;
     return 2;
   }
+  const std::vector<std::string> paths(inputs.begin(), inputs.end());
 
   std::vector<llamcat::lint::Violation> violations;
   std::vector<llamcat::lint::Violation> suppressed;
@@ -115,17 +103,17 @@ int main(int argc, char** argv) {
             << " violations, " << suppressed.size()
             << " suppressed\n";
 
-  if (!json_path.empty()) {
-    if (json_path == "-") {
+  if (!opt.json_path.empty()) {
+    if (opt.json_path == "-") {
       write_json(std::cout, files.size(), violations, suppressed);
     } else {
-      std::ofstream out(json_path);
+      std::ofstream out(opt.json_path);
       if (!out) {
-        std::cerr << "error: cannot open " << json_path << "\n";
+        std::cerr << "error: cannot open " << opt.json_path << "\n";
         return 2;
       }
       write_json(out, files.size(), violations, suppressed);
-      std::cout << "wrote " << json_path << "\n";
+      std::cout << "wrote " << opt.json_path << "\n";
     }
   }
   return violations.empty() ? 0 : 1;

@@ -20,41 +20,14 @@
 // seed-pinning workflow (a failing seed becomes a regression test in
 // tests/test_serving_fuzz.cpp).
 #include <algorithm>
-#include <charconv>
 #include <cstdint>
 #include <iostream>
-#include <optional>
-#include <string_view>
 #include <vector>
 
+#include "cli/options.hpp"
 #include "scenario/fuzz.hpp"
 
 namespace {
-
-constexpr const char* kUsage = R"(usage: llamcat_stress [options]
-  --runs=N     number of seeds to fuzz (default 200)
-  --jobs=N     worker threads for the sweep; 0 = all cores (default 1);
-               output is identical for any job count
-  --seed=S     base seed; run i uses seed S+i (default 1)
-  --replay=S   run exactly the one seed S (what a failure report suggests)
-  --verbose    print every scenario, not just failures
-  --help       this text
-)";
-
-std::optional<std::uint64_t> parse_u64(std::string_view s) {
-  std::uint64_t v = 0;
-  const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || p != s.data() + s.size()) return std::nullopt;
-  return v;
-}
-
-struct Options {
-  std::uint64_t runs = 200;
-  std::uint64_t base_seed = 1;
-  std::uint64_t jobs = 1;
-  std::optional<std::uint64_t> replay;
-  bool verbose = false;
-};
 
 void report(const llamcat::scenario::FuzzResult& r) {
   std::cerr << "FAIL seed " << r.seed << ": "
@@ -68,49 +41,14 @@ void report(const llamcat::scenario::FuzzResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    const auto value = [&](std::string_view prefix) {
-      return arg.substr(prefix.size());
-    };
-    if (arg == "--help" || arg == "-h") {
-      std::cout << kUsage;
-      return 0;
-    } else if (arg == "--verbose") {
-      opt.verbose = true;
-    } else if (arg.rfind("--runs=", 0) == 0) {
-      const auto v = parse_u64(value("--runs="));
-      if (!v || *v == 0) {
-        std::cerr << "error: bad --runs\n" << kUsage;
-        return 2;
-      }
-      opt.runs = *v;
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      const auto v = parse_u64(value("--jobs="));
-      if (!v) {
-        std::cerr << "error: bad --jobs\n" << kUsage;
-        return 2;
-      }
-      opt.jobs = *v;
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      const auto v = parse_u64(value("--seed="));
-      if (!v) {
-        std::cerr << "error: bad --seed\n" << kUsage;
-        return 2;
-      }
-      opt.base_seed = *v;
-    } else if (arg.rfind("--replay=", 0) == 0) {
-      const auto v = parse_u64(value("--replay="));
-      if (!v) {
-        std::cerr << "error: bad --replay\n" << kUsage;
-        return 2;
-      }
-      opt.replay = *v;
-    } else {
-      std::cerr << "error: unknown option '" << arg << "'\n" << kUsage;
-      return 2;
-    }
+  llamcat::StressOptions opt;
+  const std::vector<llamcat::CliFlag> flags = llamcat::stress_flags(opt);
+  if (const auto stop = llamcat::parse_command_line(
+          flags,
+          llamcat::flags_usage("usage: llamcat_stress [--flag=value ...]\n",
+                               flags),
+          {argv + 1, argv + argc}, std::cout, std::cerr)) {
+    return *stop;
   }
 
   if (opt.replay) {
