@@ -1,43 +1,46 @@
-// Policy explorer: run one workload under a chosen policy combination and
-// dump every counter. Usage:
-//   policy_explorer [model] [seq_len] [throttle] [arb] [cache_mb] [--full]
-//     model    : 70b | 405b            (default 70b)
-//     seq_len  : tokens                (default 4096)
-//     throttle : unopt|dyncta|lcs|dynmg (default unopt)
-//     arb      : fcfs|B|MA|BMA|cobrra  (default fcfs)
-//     cache_mb : LLC size in MB        (default 16)
-#include <cstdlib>
+// Policy explorer: run one Logit operator under a chosen policy combination
+// and dump every counter. Usage:
+//   policy_explorer [--model=NAME] [--seq=N] [--throttle=T] [--arb=A]
+//                   [--llc-mb=N] [--full]
+// Defaults: llama3-70b, L=4096, unopt+fcfs, a 16 MiB LLC. A malformed
+// value or an invalid configuration exits 2 with an "error: ..." line.
 #include <iostream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "cli/options.hpp"
 #include "sim/experiment.hpp"
 
 using namespace llamcat;
 
 int main(int argc, char** argv) {
-  const std::string model_s = argc > 1 ? argv[1] : "70b";
-  const std::uint64_t seq = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 4096;
-  const std::string thr_s = argc > 3 ? argv[3] : "unopt";
-  const std::string arb_s = argc > 4 ? argv[4] : "fcfs";
-  const std::uint64_t cache_mb = argc > 5 ? std::strtoull(argv[5], nullptr, 10) : 16;
-  const bool full = argc > 6 && std::string(argv[6]) == "--full";
+  ExplorerOptions opt;
+  const std::vector<CliFlag> flags = explorer_flags(opt);
+  const std::string usage =
+      flags_usage("usage: policy_explorer [--flag=value ...]\n", flags);
+  if (const auto stop = parse_command_line(flags, usage, {argv + 1, argv + argc},
+                                           std::cout, std::cerr)) {
+    return *stop;
+  }
 
   SimConfig cfg = SimConfig::table5();
-  cfg.llc.size_bytes = cache_mb << 20;
-  // Unknown names fall back to the defaults.
-  cfg = with_policies(
-      cfg, parse_enum<ThrottlePolicy>(thr_s).value_or(ThrottlePolicy::kNone),
-      parse_enum<ArbPolicy>(arb_s).value_or(ArbPolicy::kFcfs));
+  cfg.llc.size_bytes = opt.llc_bytes;
+  cfg = with_policies(cfg, opt.throttle, opt.arb);
+  try {
+    cfg.validate();
+  } catch (const std::invalid_argument& e) {
+    return *report_usage_stop(
+        false, std::string("invalid configuration: ") + e.what(), usage,
+        std::cout, std::cerr);
+  }
+  const Workload wl = Workload::logit(opt.model, opt.seq_len, cfg);
 
-  const ModelShape model =
-      model_s == "405b" ? ModelShape::llama3_405b() : ModelShape::llama3_70b();
-  const Workload wl = Workload::logit(model, seq, cfg);
-
-  std::cout << "config: " << cfg.summary() << "  workload: " << model.name
-            << " L=" << seq << " l_tile=" << wl.mapping.l_tile << "\n";
+  std::cout << "config: " << cfg.summary() << "  workload: " << opt.model.name
+            << " L=" << opt.seq_len << " l_tile=" << wl.mapping.l_tile << "\n";
   const SimStats s = run_simulation(cfg, wl);
   s.print(std::cout);
-  if (full) {
+  if (opt.full) {
     std::cout << "\n-- counters --\n";
     s.counters.print(std::cout, "  ");
   }

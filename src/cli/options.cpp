@@ -786,6 +786,27 @@ std::vector<CliFlag> lint_flags(LintOptions& o) {
   };
 }
 
+std::vector<CliFlag> explorer_flags(ExplorerOptions& o) {
+  return {
+      {"model", "NAME", kOptions,
+       "llama3-70b (default) | llama3-405b | llama3-8b |\n"
+       "gemma2-27b | qwen2-72b",
+       choice(&o.model, NameTable<ModelFactory>(kModels))},
+      {"seq", "N", kOptions, "sequence length L (default 4096)",
+       uint(&o.seq_len, 1)},
+      {"throttle", "T", kOptions, "unopt (default) | dyncta | lcs | dynmg",
+       choice(&o.throttle)},
+      {"arb", "A", kOptions,
+       "fcfs (default) | B | MA | BMA | cobrra | mrpb |\n"
+       "oracle | random",
+       choice(&o.arb)},
+      {"llc-mb", "N", kOptions, "total LLC capacity in MiB (default 16)",
+       mib(&o.llc_bytes)},
+      {"full", "", kOptions, "also dump every counter", on(&o.full)},
+      help_flag(),
+  };
+}
+
 std::vector<CliFlag> bench_flags(Scale* scale, std::string* json_path) {
   std::vector<CliFlag> flags;
   if (scale != nullptr) {

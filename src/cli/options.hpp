@@ -186,7 +186,7 @@ std::string cli_usage();
 int cli_main(const std::vector<std::string_view>& args, std::ostream& out,
              std::ostream& err);
 
-// -- llamcat_stress, llamcat_lint, benches ----------------------------------
+// -- llamcat_stress, llamcat_lint, policy_explorer, benches -----------------
 
 /// llamcat_stress's options.
 struct StressOptions {
@@ -204,6 +204,17 @@ struct LintOptions {
   std::string json_path;  // empty = no JSON; "-" = stdout
 };
 std::vector<CliFlag> lint_flags(LintOptions& opt);
+
+/// examples/policy_explorer's options.
+struct ExplorerOptions {
+  ModelShape model = ModelShape::llama3_70b();
+  std::uint64_t seq_len = 4096;
+  ThrottlePolicy throttle = ThrottlePolicy::kNone;
+  ArbPolicy arb = ArbPolicy::kFcfs;
+  std::uint64_t llc_bytes = std::uint64_t{16} << 20;
+  bool full = false;  // also dump every counter
+};
+std::vector<CliFlag> explorer_flags(ExplorerOptions& opt);
 
 /// A bench's problem scale.
 enum class Scale : std::uint8_t {

@@ -371,8 +371,9 @@ struct SimConfig {
   std::uint64_t seed = 1;
   /// Hard safety limit; a run exceeding this throws (deadlock guard).
   Cycle max_cycles = 2'000'000'000;
-  /// Event-driven skip-ahead over provably frozen cycles plus per-core and
-  /// per-slice self-freezing. Results are byte-identical either way; off
+  /// Event-driven skip-ahead over provably frozen cycles plus awake sets
+  /// (frozen cores and slices sleep out of the step loops and settle their
+  /// owed cycles lazily). Results are byte-identical either way; off
   /// steps every component every cycle (the reference for differential
   /// checks).
   bool fast_path = true;

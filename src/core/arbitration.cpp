@@ -8,10 +8,17 @@ RequestArbiter::RequestArbiter(const ArbConfig& cfg, std::uint32_t num_cores,
                                std::uint32_t sent_reqs_lifetime,
                                std::uint64_t seed)
     : cfg_(cfg),
+      speculates_(cfg.policy == ArbPolicy::kMa ||
+                  cfg.policy == ArbPolicy::kBma ||
+                  cfg.policy == ArbPolicy::kOracle),
+      incremental_(cfg.policy == ArbPolicy::kMa ||
+                   cfg.policy == ArbPolicy::kBma),
       hit_buffer_(cfg.hit_buffer_depth),
       sent_reqs_(cfg.sent_reqs_depth, sent_reqs_lifetime),
       progress_(num_cores, 0),
-      rng_(seed) {}
+      rng_(seed) {
+  dirty_.reserve(kMaxDirty);
+}
 
 void RequestArbiter::reset_progress() {
   progress_.assign(progress_.size(), 0);
@@ -128,11 +135,11 @@ std::optional<RequestArbiter::Choice> RequestArbiter::select(
     case ArbPolicy::kFcfs:
     case ArbPolicy::kCobrra: {
       const std::size_t i = pick_fcfs(queue);
-      return Choice{i, classify(queue[i].req.line_addr, mshr)};
+      return Choice{i, SpecClass::kMiss};
     }
     case ArbPolicy::kBalanced: {
       const std::size_t i = pick_balanced(queue);
-      return Choice{i, classify(queue[i].req.line_addr, mshr)};
+      return Choice{i, SpecClass::kMiss};
     }
     case ArbPolicy::kMa:
       return pick_mshr_aware(queue, mshr, /*balanced_ties=*/false);
@@ -140,16 +147,76 @@ std::optional<RequestArbiter::Choice> RequestArbiter::select(
       return pick_mshr_aware(queue, mshr, /*balanced_ties=*/true);
     case ArbPolicy::kMrpb: {
       const std::size_t i = pick_mrpb(queue);
-      return Choice{i, classify(queue[i].req.line_addr, mshr)};
+      return Choice{i, SpecClass::kMiss};
     }
     case ArbPolicy::kOracle:
       return pick_oracle(queue, mshr, oracle);
     case ArbPolicy::kRandom: {
       const std::size_t i = static_cast<std::size_t>(rng_.below(queue.size()));
-      return Choice{i, classify(queue[i].req.line_addr, mshr)};
+      return Choice{i, SpecClass::kMiss};
     }
   }
   return std::nullopt;
+}
+
+std::optional<RequestArbiter::Choice> RequestArbiter::pick(
+    std::vector<QueuedRequest>& queue, const Mshr& mshr,
+    const ILookupOracle* oracle) {
+  if (!incremental_) return select(queue, mshr, oracle);
+  if (queue.empty()) return std::nullopt;
+  refresh_classes(queue, mshr);
+  const bool balanced_ties = cfg_.policy == ArbPolicy::kBma;
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < queue.size(); ++i) {
+    // The same order as pick_mshr_aware, on the cached classes.
+    const SpecClass c = queue[i].spec;
+    if (c < queue[best].spec ||
+        (c == queue[best].spec && balanced_ties &&
+         progress_[queue[i].req.core] < progress_[queue[best].req.core])) {
+      best = i;
+    }
+  }
+  return Choice{best, queue[best].spec};
+}
+
+void RequestArbiter::enqueue(std::vector<QueuedRequest>& queue,
+                             const MemRequest& req, Cycle now,
+                             const Mshr& mshr) {
+  if (incremental_ && queue.empty()) {
+    // No cached class is left to go stale.
+    dirty_.clear();
+    all_dirty_ = false;
+  }
+  queue.push_back(QueuedRequest{req, now});
+  if (incremental_) queue.back().spec = classify(req.line_addr, mshr);
+}
+
+void RequestArbiter::mark_dirty(Addr line_addr) {
+  if (!incremental_ || all_dirty_) return;
+  if (dirty_.size() == kMaxDirty) {
+    all_dirty_ = true;
+    dirty_.clear();
+    return;
+  }
+  dirty_.push_back(line_addr);
+}
+
+void RequestArbiter::refresh_classes(std::vector<QueuedRequest>& queue,
+                                     const Mshr& mshr) {
+  if (all_dirty_) {
+    for (QueuedRequest& q : queue) q.spec = classify(q.req.line_addr, mshr);
+  } else if (!dirty_.empty()) {
+    for (QueuedRequest& q : queue) {
+      for (const Addr d : dirty_) {
+        if (q.req.line_addr == d) {
+          q.spec = classify(q.req.line_addr, mshr);
+          break;
+        }
+      }
+    }
+  }
+  dirty_.clear();
+  all_dirty_ = false;
 }
 
 void RequestArbiter::on_selected(const MemRequest& req, SpecClass spec,
@@ -157,7 +224,23 @@ void RequestArbiter::on_selected(const MemRequest& req, SpecClass spec,
   assert(req.core < progress_.size());
   ++progress_[req.core];
   mrpb_core_ = req.core;
-  sent_reqs_.push(req.line_addr, spec == SpecClass::kCacheHit, now);
+  if (!speculates_) return;
+  const bool spec_hit = spec == SpecClass::kCacheHit;
+  sent_reqs_.push(req.line_addr, spec_hit, now);
+  if (!spec_hit) mark_dirty(req.line_addr);  // now MSHR-bound
+}
+
+void RequestArbiter::on_hit_determined(Addr line_addr) {
+  if (!speculates_) return;
+  const bool member = hit_buffer_.contains(line_addr);
+  const Addr evicted = hit_buffer_.record_hit(line_addr);
+  if (!member) mark_dirty(line_addr);
+  if (evicted != kNoAddr) mark_dirty(evicted);
+}
+
+void RequestArbiter::on_cycle(Cycle now) {
+  if (!speculates_) return;
+  sent_reqs_.expire(now, [this](Addr line_addr) { mark_dirty(line_addr); });
 }
 
 }  // namespace llamcat

@@ -25,11 +25,7 @@
 
 namespace llamcat {
 
-/// A request waiting in the slice's request queue.
-struct QueuedRequest {
-  MemRequest req;
-  Cycle enqueued_at = 0;
-};
+struct QueuedRequest;
 
 /// Ground-truth lookup the oracle policy uses in place of the speculative
 /// hit_buffer. Implemented by the owning LLC slice (a tag probe).
@@ -42,6 +38,14 @@ class ILookupOracle {
   ILookupOracle() = default;
 };
 
+/// Picks requests for one slice. MA and BMA keep a speculated class cached
+/// on each queued request (paper Fig 5 as hardware builds it: a class that
+/// updates when its inputs change). Every event that can change the class
+/// of a line - a hit_buffer entry or eviction, a sent_reqs push or expiry
+/// of an MSHR-bound entry, an MSHR allocation or release - marks the line
+/// dirty, and pick() reclassifies only the queued requests on dirty lines.
+/// The policies that never read the speculation structures (FCFS, B,
+/// cobrra, MRPB, random) skip their upkeep entirely.
 class RequestArbiter {
  public:
   RequestArbiter(const ArbConfig& cfg, std::uint32_t num_cores,
@@ -55,25 +59,41 @@ class RequestArbiter {
     SpecClass spec = SpecClass::kMiss;
   };
 
-  /// Picks a request from `queue` (nullopt when empty). Pure decision; call
-  /// on_selected() once the slice actually dequeues it. `oracle` supplies
-  /// ground-truth tag state and is only consulted by ArbPolicy::kOracle
-  /// (pass nullptr otherwise; kOracle then degrades to MSHR-only
-  /// classification).
+  /// Picks a request from `queue` (nullopt when empty) by a full scan that
+  /// classifies every entry afresh: the reference the incremental pick()
+  /// must match. Pure decision; call on_selected() once the slice actually
+  /// dequeues it. `oracle` supplies ground-truth tag state and is only
+  /// consulted by ArbPolicy::kOracle (pass nullptr otherwise; kOracle then
+  /// degrades to MSHR-only classification). Policies that do not speculate
+  /// report their choice as kMiss: nothing reads their class.
   [[nodiscard]] std::optional<Choice> select(
       const std::vector<QueuedRequest>& queue, const Mshr& mshr,
       const ILookupOracle* oracle = nullptr) const;
 
+  /// The slice's pick over its own queue: select() with MA/BMA reading the
+  /// cached classes, after reclassifying the entries on dirty lines. The
+  /// queue must have been filled through enqueue().
+  [[nodiscard]] std::optional<Choice> pick(std::vector<QueuedRequest>& queue,
+                                           const Mshr& mshr,
+                                           const ILookupOracle* oracle);
+
+  /// Appends `req` to `queue` with its class cached (MA/BMA).
+  void enqueue(std::vector<QueuedRequest>& queue, const MemRequest& req,
+               Cycle now, const Mshr& mshr);
+
   /// Bookkeeping when the chosen request enters the lookup pipeline:
-  /// increments the requester's progress counter and records the request in
-  /// sent_reqs with its speculated-hit bit.
+  /// increments the requester's progress counter and, under MA, BMA and
+  /// oracle, records the request in sent_reqs with its speculated-hit bit.
   void on_selected(const MemRequest& req, SpecClass spec, Cycle now);
 
   /// Bookkeeping when a lookup resolves as a cache hit (updates hit_buffer).
-  void on_hit_determined(Addr line_addr) { hit_buffer_.record_hit(line_addr); }
+  void on_hit_determined(Addr line_addr);
+
+  /// The MSHR allocated or released the entry of `line_addr`.
+  void on_mshr_changed(Addr line_addr) { mark_dirty(line_addr); }
 
   /// Once per cycle: expire sent_reqs entries.
-  void on_cycle(Cycle now) { sent_reqs_.expire(now); }
+  void on_cycle(Cycle now);
 
   /// Combined hit_buffer + MSHR_snapshot + sent_reqs speculation (Fig 5).
   [[nodiscard]] SpecClass classify(Addr line_addr, const Mshr& mshr) const;
@@ -104,8 +124,20 @@ class RequestArbiter {
                                    const ILookupOracle* oracle) const;
   [[nodiscard]] SpecClass classify_oracle(Addr line_addr, const Mshr& mshr,
                                           const ILookupOracle* oracle) const;
+  /// Records that the class of `line_addr` may have changed (MA/BMA).
+  void mark_dirty(Addr line_addr);
+  /// Reclassifies the queued requests on dirty lines; clears the marks.
+  void refresh_classes(std::vector<QueuedRequest>& queue, const Mshr& mshr);
+
+  /// Dirty lines kept individually; past this many, pick() reclassifies
+  /// the whole queue instead.
+  static constexpr std::size_t kMaxDirty = 8;
 
   ArbConfig cfg_;
+  bool speculates_;   // MA, BMA, oracle: hit_buffer/sent_reqs upkeep
+  bool incremental_;  // MA, BMA: cached classes
+  std::vector<Addr> dirty_;
+  bool all_dirty_ = false;
   HitBuffer hit_buffer_;
   SentReqs sent_reqs_;
   std::vector<std::uint64_t> progress_;
@@ -113,6 +145,14 @@ class RequestArbiter {
   CoreId mrpb_core_ = static_cast<CoreId>(kInvalidCore);
   /// kRandom: RNG state is not logical arbiter state; select() stays const.
   mutable Xoshiro256 rng_;
+};
+
+/// A request waiting in the slice's request queue.
+struct QueuedRequest {
+  MemRequest req;
+  Cycle enqueued_at = 0;
+  /// MA/BMA: the speculated class, current whenever the arbiter picks.
+  RequestArbiter::SpecClass spec = RequestArbiter::SpecClass::kMiss;
 };
 
 }  // namespace llamcat

@@ -6,15 +6,19 @@
 
 namespace llamcat {
 
-void HitBuffer::record_hit(Addr line_addr) {
+Addr HitBuffer::record_hit(Addr line_addr) {
   const auto depth = static_cast<std::uint32_t>(ring_.size());
-  if (depth == 0) return;
+  if (depth == 0) return kNoAddr;
+  Addr evicted = kNoAddr;
   if (size_ == depth) {
     // Full: the oldest copy leaves before the new one takes its slot.
     const Addr old = ring_[head_];
     std::uint32_t* n = counts_.find(old);
     assert(n != nullptr);
-    if (--*n == 0) counts_.erase(old);
+    if (--*n == 0) {
+      counts_.erase(old);
+      evicted = old;
+    }
     head_ = head_ + 1 == depth ? 0 : head_ + 1;
     --size_;
   }
@@ -27,6 +31,7 @@ void HitBuffer::record_hit(Addr line_addr) {
   } else {
     counts_.insert(line_addr, 1);
   }
+  return evicted;
 }
 
 SentReqs::SentReqs(std::uint32_t depth, std::uint32_t lifetime)
@@ -45,14 +50,6 @@ void SentReqs::push(Addr line_addr, bool spec_hit, Cycle now) {
   if (tail >= depth) tail -= depth;
   ring_[tail] = Entry{line_addr, spec_hit, now};
   ++size_;
-}
-
-void SentReqs::expire(Cycle now) {
-  const auto depth = static_cast<std::uint32_t>(ring_.size());
-  while (size_ != 0 && ring_[head_].pushed_at + lifetime_ <= now) {
-    head_ = head_ + 1 == depth ? 0 : head_ + 1;
-    --size_;
-  }
 }
 
 bool SentReqs::contains_mshr_bound(Addr line_addr) const {

@@ -26,7 +26,9 @@ class HitBuffer {
   explicit HitBuffer(std::uint32_t depth)
       : ring_(depth), counts_(depth) {}
 
-  void record_hit(Addr line_addr);
+  /// Appends a hit. Returns the line whose last copy the append evicted
+  /// (it is no longer a member), or kNoAddr.
+  Addr record_hit(Addr line_addr);
   [[nodiscard]] bool contains(Addr line_addr) const {
     return counts_.contains(line_addr);
   }
@@ -54,8 +56,20 @@ class SentReqs {
   /// Records a selected request. `spec_hit` is its speculated-cache-hit bit.
   void push(Addr line_addr, bool spec_hit, Cycle now);
 
-  /// Drops entries older than the lifetime (call once per cycle).
-  void expire(Cycle now);
+  /// Drops entries older than the lifetime (call once per cycle), handing
+  /// the line of every dropped MSHR-bound entry to `on_expired`.
+  template <typename OnExpired>
+  void expire(Cycle now, OnExpired&& on_expired) {
+    const auto depth = static_cast<std::uint32_t>(ring_.size());
+    while (size_ != 0 && ring_[head_].pushed_at + lifetime_ <= now) {
+      if (!ring_[head_].spec_hit) on_expired(ring_[head_].line_addr);
+      head_ = head_ + 1 == depth ? 0 : head_ + 1;
+      --size_;
+    }
+  }
+  void expire(Cycle now) {
+    expire(now, [](Addr) {});
+  }
 
   /// True when the address is tracked by an entry whose spec_hit bit is 0,
   /// i.e. it is expected to appear in the MSHR shortly. A linear scan over

@@ -38,13 +38,13 @@ LlcSlice::LlcSlice(const LlcConfig& cfg, const ArbConfig& arb_cfg,
 void LlcSlice::push_request(const MemRequest& req, Cycle now) {
   assert(can_accept_request());
   assert(map_.slice_of(req.line_addr) == slice_id_);
-  frozen_valid_ = false;  // new ingress: the frozen profile is stale
-  req_q_.push_back(QueuedRequest{req, now});
+  assert(!asleep_ && "ingress wakes the slice first");
+  arbiter_.enqueue(req_q_, req, now, mshr_);
   ++counters_.requests_in;
 }
 
 void LlcSlice::on_dram_fill(Addr line_addr) {
-  frozen_valid_ = false;  // new ingress: the frozen profile is stale
+  assert(!asleep_ && "a fill wakes the slice first");
   pending_fills_.push_back(line_addr);
 }
 
@@ -79,6 +79,7 @@ void LlcSlice::process_fills(Cycle now) {
     pending_fills_.pop_front();
     bool dirty = false;
     mshr_.release(line, fill_targets_);
+    arbiter_.on_mshr_changed(line);
     for (const MshrTarget& t : fill_targets_) {
       if (t.is_store) {
         dirty = true;
@@ -137,7 +138,7 @@ bool LlcSlice::serve_response(Cycle now, DramSystem& dram) {
 void LlcSlice::serve_request(Cycle now) {
   if (req_q_.empty()) return;
   if (lookup_pipe_.size() >= cfg_.hit_latency) return;  // pipe backed up
-  const auto choice = arbiter_.select(req_q_, mshr_, &oracle_);
+  const auto choice = arbiter_.pick(req_q_, mshr_, &oracle_);
   if (!choice) return;
   const QueuedRequest qr = req_q_[choice->index];
   req_q_.erase(req_q_.begin() + static_cast<std::ptrdiff_t>(choice->index));
@@ -233,6 +234,7 @@ void LlcSlice::advance_mshr_stage(Cycle now, DramSystem& dram) {
   assert(res == Mshr::AddResult::kNewEntry);
   (void)res;
   dram.enqueue(rd);
+  arbiter_.on_mshr_changed(line);
   ++counters_.mshr_allocs;
   if (ReqCounters* rc = req_counters_of(line)) ++rc->dram_reads;
   mshr_pipe_.pop_front();
@@ -278,11 +280,6 @@ void LlcSlice::tick(Cycle now, DramSystem& dram) {
 
   if (stalled_this_cycle_) {
     ++stall_cycles_;
-  }
-
-  if (fast_path_) {
-    frozen_ = wait_profile(now);
-    frozen_valid_ = !frozen_.busy;
   }
 }
 
@@ -361,16 +358,24 @@ LlcSlice::WaitProfile LlcSlice::wait_profile(Cycle now) const {
   return p;
 }
 
-void LlcSlice::apply_skip(std::uint64_t cycles, const WaitProfile& p) {
-  assert(!p.busy);
+void LlcSlice::sleep(const WaitProfile& p, Cycle from) {
+  assert(!p.busy && !asleep_);
+  asleep_ = true;
+  owed_from_ = from;
+  owed_ = p;
+}
+
+void LlcSlice::settle(Cycle through) {
+  if (!asleep_) return;
+  assert(through + 1 >= owed_from_);
+  const std::uint64_t cycles = through + 1 - owed_from_;
+  owed_from_ = through + 1;
   // Per-tick occupancy sampling, collapsed (occupancy is frozen).
   mshr_.sample_occupancy(cycles);
-  // arbiter_.on_cycle is a pure monotone expiry with no reader while the
-  // slice is frozen; the single call at the wake tick is equivalent.
-  if (p.stall_target) counters_.stall_target += cycles;
-  if (p.stall_entry) counters_.stall_entry += cycles;
-  if (p.lookup_backpressure) counters_.lookup_backpressure += cycles;
-  if (p.stall_target || p.stall_entry || p.lookup_backpressure) {
+  if (owed_.stall_target) counters_.stall_target += cycles;
+  if (owed_.stall_entry) counters_.stall_entry += cycles;
+  if (owed_.lookup_backpressure) counters_.lookup_backpressure += cycles;
+  if (owed_.stall_target || owed_.stall_entry || owed_.lookup_backpressure) {
     stall_cycles_ += cycles;
   }
 }

@@ -121,12 +121,12 @@ class LlcSlice {
     std::uint64_t dram_writes = 0;  // writebacks issued
   };
 
-  // ---- skip-ahead -----------------------------------------------------------
+  // ---- skip-ahead and lazy settlement ---------------------------------------
   /// What the slice would do over the coming cycles if its inputs stay
   /// frozen (no new requests, no DRAM fills). `busy` = observable progress
-  /// at cycle now+1 (no skip). Otherwise the slice is frozen until
-  /// `next_event` (pipeline-head maturity / response release), and each
-  /// frozen cycle accrues exactly the recorded stall deltas.
+  /// at cycle now+1. Otherwise the slice is frozen until `next_event`
+  /// (pipeline-head maturity / response release), and each frozen cycle
+  /// accrues exactly the recorded stall deltas.
   struct WaitProfile {
     bool busy = false;
     Cycle next_event = kNeverCycle;
@@ -135,39 +135,25 @@ class LlcSlice {
     bool lookup_backpressure = false;  // miss into a full probe stage
   };
   [[nodiscard]] WaitProfile wait_profile(Cycle now) const;
-  /// Bulk-accounts `cycles` frozen cycles previously profiled by
-  /// wait_profile (byte-identical to ticking the frozen slice that often).
-  void apply_skip(std::uint64_t cycles, const WaitProfile& p);
 
-  /// Enables/disables self-freezing (the per-tick O(1) replay of a cached
-  /// wait profile). Mirrors System's fast-path switch.
-  void set_fast_path(bool on) {
-    fast_path_ = on;
-    if (!on) frozen_valid_ = false;
+  /// Puts the slice to sleep from cycle `from` on (`p` not busy): the
+  /// System stops ticking it, and every cycle from `from` on is owed as
+  /// one frozen cycle of `p`. While asleep no out-response is ready, so
+  /// drain_responses has nothing to do either.
+  void sleep(const WaitProfile& p, Cycle from);
+  /// Bulk-accounts the frozen cycles owed up to and including `through`
+  /// (byte-identical to ticking the frozen slice that often); the slice
+  /// stays asleep. A no-op on an awake slice.
+  void settle(Cycle through);
+  /// settle(through), then leave sleep: the next tick is a full one.
+  void wake(Cycle through) {
+    settle(through);
+    asleep_ = false;
   }
-  /// O(1) replay of the cached wait profile; returns true when it
-  /// substituted for tick() this cycle. While frozen no out-response is
-  /// ready, so the caller may skip drain_responses too. Invalidated by any
-  /// ingress (push_request, on_dram_fill) or by reaching next_event.
-  bool frozen_tick(Cycle now) {
-    if (!frozen_valid_) return false;
-    if (now >= frozen_.next_event) {
-      frozen_valid_ = false;
-      return false;
-    }
-    // Exactly what tick() does in this state; arbiter_.on_cycle is elided
-    // by the same argument as apply_skip (pure monotone expiry, no reader
-    // until the wake tick calls it).
-    mshr_.sample_occupancy();
-    if (frozen_.stall_target) ++counters_.stall_target;
-    if (frozen_.stall_entry) ++counters_.stall_entry;
-    if (frozen_.lookup_backpressure) ++counters_.lookup_backpressure;
-    if (frozen_.stall_target || frozen_.stall_entry ||
-        frozen_.lookup_backpressure) {
-      ++stall_cycles_;
-    }
-    return true;
-  }
+  [[nodiscard]] bool asleep() const { return asleep_; }
+  /// The cycle a sleeping slice must tick again by itself (kNeverCycle:
+  /// only ingress or a fill wakes it).
+  [[nodiscard]] Cycle wake_cycle() const { return owed_.next_event; }
 
   // ---- introspection ----------------------------------------------------------
   [[nodiscard]] bool drained() const;
@@ -250,10 +236,12 @@ class LlcSlice {
       out_resp_;
   std::vector<MshrTarget> fill_targets_;  // process_fills scratch
 
-  // Self-freeze cache (see frozen_tick); any ingress invalidates it.
-  bool fast_path_ = true;
-  bool frozen_valid_ = false;
-  WaitProfile frozen_;
+  // Sleep state (see sleep): the profile owed for each cycle from
+  // owed_from_ on. arbiter_.on_cycle is not replayed: it is a pure expiry
+  // that nothing reads until the wake tick runs it.
+  bool asleep_ = false;
+  Cycle owed_from_ = 0;
+  WaitProfile owed_;
 
   bool stalled_this_cycle_ = false;
   bool mshr_resource_stall_ = false;  // freezes lookup+arbiter this cycle

@@ -2,15 +2,14 @@
 
 namespace llamcat {
 
-Network::Network(const NocConfig& cfg, std::uint32_t num_cores,
-                 std::uint32_t num_slices, std::uint32_t credits_per_slice)
-    : credits_per_slice_(credits_per_slice) {
+Network::Network(const NocConfig& cfg, std::uint32_t num_slices,
+                 std::uint32_t credits_per_slice)
+    : ingress_(num_slices),
+      resp_ch_(cfg.resp_latency),
+      credits_per_slice_(credits_per_slice) {
   req_ch_.reserve(num_slices);
   for (std::uint32_t s = 0; s < num_slices; ++s)
     req_ch_.emplace_back(cfg.req_latency);
-  resp_ch_.reserve(num_cores);
-  for (std::uint32_t c = 0; c < num_cores; ++c)
-    resp_ch_.emplace_back(cfg.resp_latency);
   credits_.assign(num_slices, credits_per_slice_);
 }
 

@@ -1,6 +1,10 @@
 // Interconnect between cores and LLC slices: fixed-latency delay channels
 // with per-slice credits for backpressure (paper Fig 3/4 models the NoC
 // abstractly; contention is concentrated in the slice request queues).
+// Requests travel one channel per slice; responses share one send-ordered
+// FIFO, since the latency is constant and a core's fills touch only that
+// core, so its fills arrive in the same order and cycles as over a channel
+// of its own.
 #pragma once
 
 #include <cassert>
@@ -9,6 +13,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/bitset.hpp"
 #include "common/config.hpp"
 #include "common/types.hpp"
 
@@ -55,14 +60,14 @@ class DelayChannel {
   std::deque<Timed> q_;
 };
 
-/// Core->slice request channels (credited) and slice->core response
-/// channels. A credit is consumed when a core injects a request toward a
+/// Core->slice request channels (credited) and the slice->core response
+/// FIFO. A credit is consumed when a core injects a request toward a
 /// slice and released when the slice accepts it into its request queue, so
 /// slice-queue backpressure propagates to the cores.
 class Network {
  public:
-  Network(const NocConfig& cfg, std::uint32_t num_cores,
-          std::uint32_t num_slices, std::uint32_t credits_per_slice = 32);
+  Network(const NocConfig& cfg, std::uint32_t num_slices,
+          std::uint32_t credits_per_slice = 32);
 
   // ---- request direction --------------------------------------------------
   [[nodiscard]] bool can_send_request(std::uint32_t slice) const {
@@ -74,6 +79,7 @@ class Network {
     assert(can_send_request(slice));
     --credits_[slice];
     req_ch_[slice].push(req, now);
+    ingress_.set(slice);
     ++requests_sent_;
     ++in_flight_;
   }
@@ -85,24 +91,28 @@ class Network {
   /// Pops the head request and releases its credit.
   MemRequest pop_request(std::uint32_t slice) {
     MemRequest r = req_ch_[slice].pop();
+    if (req_ch_[slice].empty()) ingress_.reset(slice);
     ++credits_[slice];
     assert(credits_[slice] <= credits_per_slice_);
     --in_flight_;
     return r;
   }
 
+  /// Slices with at least one request in flight toward them.
+  [[nodiscard]] const DynBitset& ingress() const { return ingress_; }
+
   // ---- response direction -------------------------------------------------
   void send_response(const MemResponse& resp, Cycle now) {
-    resp_ch_[resp.core].push(resp, now);
+    resp_ch_.push(resp, now);
     ++in_flight_;
   }
-  [[nodiscard]] const MemResponse* peek_response(CoreId core,
-                                                 Cycle now) const {
-    return resp_ch_[core].peek_ready(now);
+  /// Matured response at the head of the FIFO, if any (for any core).
+  [[nodiscard]] const MemResponse* peek_response(Cycle now) const {
+    return resp_ch_.peek_ready(now);
   }
-  MemResponse pop_response(CoreId core) {
+  MemResponse pop_response() {
     --in_flight_;
-    return resp_ch_[core].pop();
+    return resp_ch_.pop();
   }
 
   /// O(1): no messages in flight in either direction.
@@ -115,14 +125,15 @@ class Network {
   [[nodiscard]] Cycle next_request_ready(std::uint32_t slice) const {
     return req_ch_[slice].next_ready();
   }
-  /// Maturity cycle of the head response toward `core`.
-  [[nodiscard]] Cycle next_response_ready(CoreId core) const {
-    return resp_ch_[core].next_ready();
+  /// Maturity cycle of the head response (kNeverCycle if none).
+  [[nodiscard]] Cycle next_response_ready() const {
+    return resp_ch_.next_ready();
   }
 
  private:
-  std::vector<DelayChannel<MemRequest>> req_ch_;    // per slice
-  std::vector<DelayChannel<MemResponse>> resp_ch_;  // per core
+  std::vector<DelayChannel<MemRequest>> req_ch_;  // per slice
+  DynBitset ingress_;                             // non-empty req_ch_
+  DelayChannel<MemResponse> resp_ch_;
   std::vector<std::uint32_t> credits_;
   std::uint32_t credits_per_slice_;
   std::uint64_t requests_sent_ = 0;

@@ -323,7 +323,7 @@ FuzzResult run_fuzz_scenario(std::uint64_t seed, const FuzzScenario& sc) {
           first_diff(d1, d2));
     }
 
-    // Fast-path differential, every 4th seed: skip-ahead and self-freezing
+    // Fast-path differential, every 4th seed: skip-ahead and awake sets
     // must be invisible, so stepping every component on every cycle must
     // reproduce the digest byte for byte. (Pointless when the scenario
     // already runs stepped.)

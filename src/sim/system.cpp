@@ -15,7 +15,7 @@ System::System(const SimConfig& cfg, const ITbSource& source,
       scheduler_(source, cfg.core.num_cores, cfg.core.tb_dispatch,
                  cfg.core.request_dispatch),
       slice_map_(cfg.llc),
-      net_(cfg.noc, cfg.core.num_cores, cfg.llc.num_slices),
+      net_(cfg.noc, cfg.llc.num_slices),
       dram_(cfg.dram, cfg.core_hz),
       throttle_(make_throttle_controller(cfg.throttle, cfg.core)),
       tagger_(tagger) {
@@ -32,39 +32,110 @@ System::System(const SimConfig& cfg, const ITbSource& source,
     cores_.push_back(std::make_unique<VectorCore>(
         cfg_.core, cfg_.l1, static_cast<CoreId>(c), cfg_.seed + c));
     cores_.back()->bind(&scheduler_);
-    cores_.back()->set_fast_path(cfg_.fast_path);
   }
   slices_.reserve(cfg_.llc.num_slices);
   for (std::uint32_t s = 0; s < cfg_.llc.num_slices; ++s) {
     slices_.push_back(std::make_unique<LlcSlice>(
         cfg_.llc, cfg_.arb, s, cfg_.core.num_cores, cfg_.seed + 1000 + s));
     slices_.back()->set_tagger(tagger_);
-    slices_.back()->set_fast_path(cfg_.fast_path);
   }
+  awake_cores_ = DynBitset(cores_.size());
+  awake_cores_.set_all();
+  awake_slices_ = DynBitset(slices_.size());
+  awake_slices_.set_all();
+  epoch_seen_ = scheduler_.epoch();
+  out_slice_.assign(cores_.size(), kNoSlice);
+  waiting_.assign(slices_.size(), DynBitset(cores_.size()));
+  n_waiting_.assign(slices_.size(), 0);
+  waited_ = DynBitset(slices_.size());
+  inject_scratch_ = DynBitset(cores_.size());
   dram_.on_read_complete = [this](const DramCompletion& d) {
+    // Fills land after the slice sweep: a sleeper counts this cycle as
+    // frozen and ticks again from the next one.
+    if (slices_[d.payload]->asleep()) wake_slice(d.payload, cycle_);
     slices_[d.payload]->on_dram_fill(d.line_addr);
   };
 }
 
 void System::deliver_responses() {
-  for (auto& core : cores_) {
-    while (const MemResponse* r = net_.peek_response(core->id(), cycle_)) {
-      core->on_load_fill(r->line_addr);
-      net_.pop_response(core->id());
+  while (const MemResponse* r = net_.peek_response(cycle_)) {
+    const std::uint32_t c = r->core;
+    if (cores_[c]->asleep()) wake_core(c, cycle_ - 1);
+    cores_[c]->on_load_fill(r->line_addr);
+    net_.pop_response();
+  }
+}
+
+void System::wake_cores_on_epoch(Cycle through) {
+  if (scheduler_.epoch() == epoch_seen_) return;
+  epoch_seen_ = scheduler_.epoch();
+  for (std::uint32_t c = 0; c < cores_.size(); ++c) {
+    if (cores_[c]->asleep()) wake_core(c, through);
+  }
+}
+
+void System::tick_cores() {
+  // A scheduler change outside the sweep (an admission hook's
+  // inject_work) wakes every sleeper for this cycle's sweep.
+  wake_cores_on_epoch(cycle_ - 1);
+  // Ascending index; bits set above the cursor are visited this cycle.
+  for (std::size_t i = awake_cores_.next(0); i != DynBitset::npos;
+       i = awake_cores_.next(i + 1)) {
+    const auto c = static_cast<std::uint32_t>(i);
+    VectorCore& core = *cores_[c];
+    const bool quiet = core.tick(cycle_);
+    if (!quiet) track_outgoing(c);  // only an issue queues a request
+    if (scheduler_.epoch() != epoch_seen_) {
+      // The tick dispatched or completed a thread block. Sleepers above c
+      // wake and tick this cycle; those below already spent it frozen.
+      epoch_seen_ = scheduler_.epoch();
+      for (std::uint32_t k = 0; k < cores_.size(); ++k) {
+        if (cores_[k]->asleep()) wake_core(k, k > c ? cycle_ - 1 : cycle_);
+      }
+    }
+    if (quiet && cfg_.fast_path) {
+      const VectorCore::WaitProfile p = core.wait_profile(cycle_);
+      if (!p.busy) sleep_core(c, p);
     }
   }
 }
 
+void System::track_outgoing(std::uint32_t c) {
+  const auto out = cores_[c]->peek_outgoing();
+  const std::uint32_t s = out ? slice_map_.slice_of(out->line_addr) : kNoSlice;
+  const std::uint32_t old = out_slice_[c];
+  if (s == old) return;
+  if (old != kNoSlice) {
+    waiting_[old].reset(c);
+    if (--n_waiting_[old] == 0) waited_.reset(old);
+  }
+  if (s != kNoSlice) {
+    waiting_[s].set(c);
+    if (n_waiting_[s]++ == 0) waited_.set(s);
+  }
+  out_slice_[c] = s;
+}
+
+bool System::injectable(DynBitset& out) const {
+  bool any = false;
+  for (std::size_t s = waited_.next(0); s != DynBitset::npos;
+       s = waited_.next(s + 1)) {
+    if (!net_.can_send_request(static_cast<std::uint32_t>(s))) continue;
+    if (!any) out.clear();
+    out |= waiting_[s];
+    any = true;
+  }
+  return any;
+}
+
 void System::inject_core_traffic() {
-  // Rotate the starting core so no core gets a structural priority.
-  const std::uint32_t n = cfg_.core.num_cores;
-  std::uint32_t c = static_cast<std::uint32_t>(cycle_ % n);
-  for (std::uint32_t i = 0; i < n; ++i, c = c + 1 == n ? 0 : c + 1) {
+  if (!injectable(inject_scratch_)) return;
+  // Rotate the starting core so no core gets a structural priority. A
+  // send can exhaust a slice's credits mid-sweep, so each visit rechecks.
+  const auto inject = [this](std::uint32_t c) {
+    if (!net_.can_send_request(out_slice_[c])) return;  // backpressure
     VectorCore& core = *cores_[c];
     const auto out = core.peek_outgoing();
-    if (!out) continue;
-    const std::uint32_t slice = slice_map_.slice_of(out->line_addr);
-    if (!net_.can_send_request(slice)) continue;  // backpressure
     MemRequest req;
     req.line_addr = out->line_addr;
     req.type = out->type;
@@ -72,20 +143,115 @@ void System::inject_core_traffic() {
     req.req_id = out->type == AccessType::kStore ? kStoreReqId : 0;
     req.seq = seq_++;
     req.issue_cycle = cycle_;
-    net_.send_request(slice, req, cycle_);
+    net_.send_request(out_slice_[c], req, cycle_);
     core.pop_outgoing();
+    // A drained store can unblock a store-blocked window; the drain lands
+    // after the core sweep, so a sleeper spent this cycle frozen.
+    if (out->type == AccessType::kStore && core.asleep()) wake_core(c, cycle_);
+    track_outgoing(c);
+  };
+  const std::size_t start = cycle_ % cores_.size();
+  for (std::size_t c = inject_scratch_.next(start); c != DynBitset::npos;
+       c = inject_scratch_.next(c + 1)) {
+    inject(static_cast<std::uint32_t>(c));
+  }
+  for (std::size_t c = inject_scratch_.next(0); c < start;
+       c = inject_scratch_.next(c + 1)) {
+    inject(static_cast<std::uint32_t>(c));
   }
 }
 
 void System::deliver_slice_requests() {
-  for (std::uint32_t s = 0; s < slices_.size(); ++s) {
+  const DynBitset& ingress = net_.ingress();
+  for (std::size_t i = ingress.next(0); i != DynBitset::npos;
+       i = ingress.next(i + 1)) {
+    const auto s = static_cast<std::uint32_t>(i);
     while (slices_[s]->can_accept_request()) {
       const MemRequest* req = net_.peek_request(s, cycle_);
       if (req == nullptr) break;
+      if (slices_[s]->asleep()) wake_slice(s, cycle_ - 1);
       slices_[s]->push_request(*req, cycle_);
       net_.pop_request(s);
     }
   }
+}
+
+void System::tick_slices() {
+  for (std::size_t i = awake_slices_.next(0); i != DynBitset::npos;
+       i = awake_slices_.next(i + 1)) {
+    const auto s = static_cast<std::uint32_t>(i);
+    LlcSlice& slice = *slices_[s];
+    slice.tick(cycle_, dram_);
+    resp_scratch_.clear();
+    slice.drain_responses(cycle_, resp_scratch_);
+    for (const MemResponse& r : resp_scratch_) {
+      net_.send_response(r, cycle_);
+    }
+    if (cfg_.fast_path) {
+      const LlcSlice::WaitProfile p = slice.wait_profile(cycle_);
+      if (!p.busy) sleep_slice(s, p);
+    }
+  }
+}
+
+void System::sleep_core(std::uint32_t c, const VectorCore::WaitProfile& p) {
+  cores_[c]->sleep(p, cycle_ + 1);
+  awake_cores_.reset(c);
+  if (p.next_event != kNeverCycle) alarms_.push(Alarm{p.next_event, c});
+}
+
+void System::sleep_slice(std::uint32_t s, const LlcSlice::WaitProfile& p) {
+  slices_[s]->sleep(p, cycle_ + 1);
+  awake_slices_.reset(s);
+  if (p.next_event != kNeverCycle) {
+    alarms_.push(
+        Alarm{p.next_event, static_cast<std::uint32_t>(cores_.size()) + s});
+  }
+}
+
+void System::wake_core(std::uint32_t c, Cycle through) {
+  cores_[c]->wake(through);
+  awake_cores_.set(c);
+}
+
+void System::wake_slice(std::uint32_t s, Cycle through) {
+  slices_[s]->wake(through);
+  awake_slices_.set(s);
+}
+
+Cycle System::next_alarm() {
+  const auto nc = static_cast<std::uint32_t>(cores_.size());
+  while (!alarms_.empty()) {
+    const Alarm a = alarms_.top();
+    const bool live =
+        a.unit < nc
+            ? cores_[a.unit]->asleep() && cores_[a.unit]->wake_cycle() == a.at
+            : slices_[a.unit - nc]->asleep() &&
+                  slices_[a.unit - nc]->wake_cycle() == a.at;
+    if (live) return a.at;
+    alarms_.pop();
+  }
+  return kNeverCycle;
+}
+
+void System::ring_alarms() {
+  const auto nc = static_cast<std::uint32_t>(cores_.size());
+  while (next_alarm() <= cycle_) {
+    // A skip never passes a live alarm, so this one is due now: the
+    // sleeper ticks this cycle.
+    const Alarm a = alarms_.top();
+    alarms_.pop();
+    if (a.unit < nc) {
+      wake_core(a.unit, cycle_ - 1);
+    } else {
+      wake_slice(a.unit - nc, cycle_ - 1);
+    }
+  }
+}
+
+void System::settle_all() {
+  for (auto& core : cores_) core->settle(cycle_);
+  for (auto& slice : slices_) slice->settle(cycle_);
 }
 
 void System::aggregate_progress(std::vector<std::uint64_t>& out) const {
@@ -107,6 +273,7 @@ void System::sample_throttling() {
   samples_scratch_.reserve(cores_.size());
   first_tb_scratch_.reserve(cores_.size());
   for (auto& core : cores_) {
+    core->settle(cycle_);  // the sample covers the sleeper's owed cycles
     const CoreSample s = core->take_sample();
     total_c_mem_ += s.c_mem;
     total_c_idle_ += s.c_idle;
@@ -118,7 +285,10 @@ void System::sample_throttling() {
   // Global period: contention classification + gear move.
   if (cycle_ % tc.sampling_period == 0) {
     Cycle stall_total = 0;
-    for (const auto& slice : slices_) stall_total += slice->stall_cycles();
+    for (const auto& slice : slices_) {
+      slice->settle(cycle_);
+      stall_total += slice->stall_cycles();
+    }
     const double t_cs =
         static_cast<double>(stall_total - prev_stall_total_) /
         (static_cast<double>(tc.sampling_period) * slices_.size());
@@ -128,28 +298,31 @@ void System::sample_throttling() {
     throttle_->on_global_period(global_scratch_);
   }
 
-  for (auto& core : cores_) {
-    core->set_max_tb(throttle_->max_tb(core->id()));
+  for (std::uint32_t c = 0; c < cores_.size(); ++c) {
+    VectorCore& core = *cores_[c];
+    const std::uint32_t before = core.max_tb();
+    core.set_max_tb(throttle_->max_tb(core.id()));
+    // A raised cap can enable a fetch; this cycle already counted as
+    // frozen for a sleeper.
+    if (core.max_tb() != before && core.asleep()) wake_core(c, cycle_);
   }
 }
 
-void System::step() {
+void System::advance() {
   ++cycle_;
+  ring_alarms();
   deliver_responses();
-  for (auto& core : cores_) core->tick(cycle_);
+  tick_cores();
   inject_core_traffic();
   deliver_slice_requests();
-  for (auto& slice : slices_) {
-    if (slice->frozen_tick(cycle_)) continue;  // no response can be ready
-    slice->tick(cycle_, dram_);
-    resp_scratch_.clear();
-    slice->drain_responses(cycle_, resp_scratch_);
-    for (const MemResponse& r : resp_scratch_) {
-      net_.send_response(r, cycle_);
-    }
-  }
+  tick_slices();
   dram_.tick_core_cycle();
   sample_throttling();
+}
+
+void System::step() {
+  advance();
+  settle_all();
 }
 
 // Flight observation: the scheduler fires these from inside the core ticks
@@ -227,43 +400,45 @@ Cycle System::next_wake(bool has_hook) {
     wake = std::min(wake, now + gap);
   }
 
-  // Cores: inbound NoC responses, then the core's own frozen profile, then
-  // outbound traffic (with a credit it injects next cycle; without one, the
-  // credit release is a slice-side event already covered below).
-  core_prof_.resize(cores_.size());
-  for (std::size_t c = 0; c < cores_.size(); ++c) {
-    const Cycle rr = net_.next_response_ready(cores_[c]->id());
-    if (rr != kNeverCycle) {
-      if (rr <= no_skip) return no_skip;
-      wake = std::min(wake, rr);
-    }
-    core_prof_[c] = cores_[c]->wait_profile(now);
-    if (core_prof_[c].busy) return no_skip;
-    wake = std::min(wake, core_prof_[c].next_event);
-    if (const auto out = cores_[c]->peek_outgoing()) {
-      if (net_.can_send_request(slice_map_.slice_of(out->line_addr))) {
-        return no_skip;
-      }
-    }
+  // Cores: inbound NoC responses, outbound traffic (with a credit it
+  // injects next cycle; without one, the credit release is a slice-side
+  // event covered below), then each awake core's profile.
+  const Cycle resp = net_.next_response_ready();
+  if (resp != kNeverCycle) {
+    if (resp <= no_skip) return no_skip;
+    wake = std::min(wake, resp);
+  }
+  if (injectable(inject_scratch_)) return no_skip;
+  wake_cores_on_epoch(now);  // work the admission hook just injected
+  for (std::size_t i = awake_cores_.next(0); i != DynBitset::npos;
+       i = awake_cores_.next(i + 1)) {
+    const VectorCore::WaitProfile p = cores_[i]->wait_profile(now);
+    if (p.busy) return no_skip;
+    sleep_core(static_cast<std::uint32_t>(i), p);
   }
 
   // Slices: inbound NoC requests (a matured head delivers next cycle iff
   // the slice has queue room; a full slice unfreezes only through its own
-  // profile), then the slice's frozen profile.
-  slice_prof_.resize(slices_.size());
-  for (std::size_t s = 0; s < slices_.size(); ++s) {
-    const Cycle rr = net_.next_request_ready(static_cast<std::uint32_t>(s));
-    if (rr != kNeverCycle) {
-      if (rr <= no_skip) {
-        if (slices_[s]->can_accept_request()) return no_skip;
-      } else {
-        wake = std::min(wake, rr);
-      }
+  // profile), then each awake slice's profile.
+  const DynBitset& ingress = net_.ingress();
+  for (std::size_t i = ingress.next(0); i != DynBitset::npos;
+       i = ingress.next(i + 1)) {
+    const Cycle rr = net_.next_request_ready(static_cast<std::uint32_t>(i));
+    if (rr <= no_skip) {
+      if (slices_[i]->can_accept_request()) return no_skip;
+    } else {
+      wake = std::min(wake, rr);
     }
-    slice_prof_[s] = slices_[s]->wait_profile(now);
-    if (slice_prof_[s].busy) return no_skip;
-    wake = std::min(wake, slice_prof_[s].next_event);
   }
+  for (std::size_t i = awake_slices_.next(0); i != DynBitset::npos;
+       i = awake_slices_.next(i + 1)) {
+    const LlcSlice::WaitProfile p = slices_[i]->wait_profile(now);
+    if (p.busy) return no_skip;
+    sleep_slice(static_cast<std::uint32_t>(i), p);
+  }
+
+  // Every component now sleeps until its alarm or an input.
+  wake = std::min(wake, next_alarm());
 
   // Nothing actionable: either the machine is done (caller checked) or it
   // is deadlocked - clamp to the guard so the throw fires at the exact
@@ -273,13 +448,8 @@ Cycle System::next_wake(bool has_hook) {
 }
 
 void System::fast_forward(Cycle cycles) {
-  for (std::size_t c = 0; c < cores_.size(); ++c) {
-    cores_[c]->apply_skip(cycles, core_prof_[c]);
-  }
-  for (std::size_t s = 0; s < slices_.size(); ++s) {
-    slices_[s]->apply_skip(cycles, slice_prof_[s]);
-  }
-  // The DRAM clock domain advances normally (refresh cadence, queue
+  // Every core and slice sleeps (next_wake put them there) and owes the
+  // skipped cycles until it wakes or its counters are read. The DRAM clock domain advances normally (refresh cadence, queue
   // occupancy sampling and FR-FCFS scheduling are exact); the wake bound
   // guarantees no read completion fires inside the window. A fully idle
   // DRAM system (the common case in admission gaps) moves in closed form.
@@ -332,7 +502,7 @@ SimStats System::run(const AdmissionHook& admission) {
         retry_at = cycle_ + (Cycle{1} << fail_streak);
       }
     }
-    step();
+    advance();
     ++n_steps;
     if (cycle_ > cfg_.max_cycles) {
       throw std::runtime_error("System::run exceeded max_cycles (deadlock?)");
@@ -348,6 +518,7 @@ SimStats System::run(const AdmissionHook& admission) {
                  static_cast<unsigned long long>(n_windows),
                  n_windows ? static_cast<double>(n_skipped) / n_windows : 0.0);
   }
+  settle_all();
   return collect_stats();
 }
 

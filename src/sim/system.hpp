@@ -6,8 +6,10 @@
 
 #include <functional>
 #include <memory>
+#include <queue>
 #include <vector>
 
+#include "common/bitset.hpp"
 #include "common/config.hpp"
 #include "core/throttle.hpp"
 #include "dram/dram_system.hpp"
@@ -51,7 +53,9 @@ class System : private IFlightObserver {
   /// thread blocks injected.
   std::uint64_t inject_work();
 
-  /// Single-step API for tests.
+  /// Single-step API for tests: one cycle, after which every sleeping
+  /// component has settled its owed cycles, so the counters read through
+  /// cores() and slices() are current.
   void step();
   [[nodiscard]] bool done() const;
   [[nodiscard]] Cycle now() const { return cycle_; }
@@ -59,7 +63,8 @@ class System : private IFlightObserver {
 
   // ---- event-driven skip-ahead ---------------------------------------------
   // SimConfig::fast_path switches it (skip-ahead over provably frozen
-  // cycles plus per-core and per-slice self-freezing); on by default, and
+  // cycles plus awake sets: a frozen core or slice sleeps out of the step
+  // loops and settles its owed cycles lazily); on by default, and
   // byte-identical stats either way.
 
   /// Admission hooks call this on every invocation to publish the earliest
@@ -84,9 +89,15 @@ class System : private IFlightObserver {
   [[nodiscard]] const TbScheduler& scheduler() const { return scheduler_; }
 
  private:
+  /// One cycle: deliver NoC responses, tick the awake cores, inject core
+  /// traffic, deliver slice requests, tick the awake slices, tick DRAM,
+  /// sample throttling.
+  void advance();
   void deliver_responses();
+  void tick_cores();
   void inject_core_traffic();
   void deliver_slice_requests();
+  void tick_slices();
   void sample_throttling();
   /// Sum of per-core progress counters across all slice arbiters, written
   /// into `out` (reused scratch; resized to num_cores).
@@ -98,14 +109,40 @@ class System : private IFlightObserver {
   void on_first_dispatch(std::uint32_t req_index) override;
   void on_request_complete(std::uint32_t req_index) override;
 
+  // ---- awake sets and lazy settlement ----------------------------------------
+  /// Takes a frozen core or slice out of its awake set from the next cycle
+  /// on, with an alarm at the cycle it must tick again by itself.
+  void sleep_core(std::uint32_t c, const VectorCore::WaitProfile& p);
+  void sleep_slice(std::uint32_t s, const LlcSlice::WaitProfile& p);
+  /// Settles a sleeper's owed cycles through `through` and returns it to
+  /// its awake set: `through` = cycle_ - 1 when it must tick this cycle,
+  /// cycle_ when this cycle already counted as frozen for it.
+  void wake_core(std::uint32_t c, Cycle through);
+  void wake_slice(std::uint32_t s, Cycle through);
+  /// After a scheduler change since the last check, wakes every sleeping
+  /// core with wake_core(c, through).
+  void wake_cores_on_epoch(Cycle through);
+  /// Wakes the sleepers whose alarm is due this cycle.
+  void ring_alarms();
+  /// Earliest live alarm (kNeverCycle when none); drops stale ones.
+  [[nodiscard]] Cycle next_alarm();
+  /// Settles every sleeper through cycle_ (before counters are read).
+  void settle_all();
+  /// Re-files core `c` under the slice its head outgoing request targets.
+  void track_outgoing(std::uint32_t c);
+  /// The cores whose head outgoing request's slice has a credit, into
+  /// `out`; returns whether there is any (`out` is left as it was when
+  /// there is none).
+  bool injectable(DynBitset& out) const;
+
   /// Earliest cycle > now() at which any component can make observable
   /// progress. Returns now()+1 ("no skip") the moment any component is
-  /// busy; when every component is frozen, fills core_prof_/slice_prof_
-  /// with the per-component frozen deltas that fast_forward() consumes.
+  /// busy. Every awake component it finds frozen goes to sleep, so a skip
+  /// leaves no awake component behind.
   [[nodiscard]] Cycle next_wake(bool has_hook);
-  /// Advances cycle_ across `cycles` frozen cycles: bulk-accounts the
-  /// profiled per-cycle deltas and ticks the DRAM clock domain normally
-  /// (its completion events are provably after the wake cycle).
+  /// Advances cycle_ across `cycles` frozen cycles: the sleepers owe them,
+  /// and the DRAM clock domain ticks normally (its completion events are
+  /// provably after the wake cycle).
   void fast_forward(Cycle cycles);
 
   SimConfig cfg_;
@@ -127,8 +164,32 @@ class System : private IFlightObserver {
   // Skip-ahead state. wake_hint_ starts at 0 so a hook that never hints
   // forbids skipping; it is reset to 0 before every hook invocation.
   Cycle wake_hint_ = 0;
-  std::vector<VectorCore::WaitProfile> core_prof_;
-  std::vector<LlcSlice::WaitProfile> slice_prof_;
+
+  // Awake sets: the step loops visit only these. With the fast path off
+  // nothing ever sleeps.
+  DynBitset awake_cores_;
+  DynBitset awake_slices_;
+  /// A sleeper's wake cycle; `unit` is a core index, or num_cores + a
+  /// slice index. Alarms of sleepers woken early by an input are stale:
+  /// a live one names a sleeper whose wake_cycle() is still `at`.
+  struct Alarm {
+    Cycle at;
+    std::uint32_t unit;
+    bool operator>(const Alarm& o) const { return at > o.at; }
+  };
+  std::priority_queue<Alarm, std::vector<Alarm>, std::greater<>> alarms_;
+  /// Scheduler epoch the sleeping cores were last checked against.
+  std::uint64_t epoch_seen_ = 0;
+
+  // Injection index: each core's head outgoing request's slice (kNoSlice
+  // when it has none), per slice the cores waiting on it and their count,
+  // and the slices some core waits on.
+  static constexpr std::uint32_t kNoSlice = ~std::uint32_t{0};
+  std::vector<std::uint32_t> out_slice_;
+  std::vector<DynBitset> waiting_;
+  std::vector<std::uint32_t> n_waiting_;
+  DynBitset waited_;
+  DynBitset inject_scratch_;
 
   // Reusable sampling scratch (hoisted out of sample_throttling; same
   // pattern as resp_scratch_).

@@ -101,9 +101,9 @@ class TbScheduler {
   [[nodiscard]] const ITbSource& source() const { return source_; }
 
   /// Monotonic mutation counter, bumped by every queue/bookkeeping change
-  /// (dispatch, completion, injection). A self-frozen core re-validates
-  /// against it, so any scheduler change wakes the core for a full tick
-  /// (see VectorCore; over-invalidation is harmless, staleness is not).
+  /// (dispatch, completion, injection). System wakes every sleeping core
+  /// when it moves, so any scheduler change costs a sleeper a full tick
+  /// (over-waking is harmless, staleness is not).
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
   // -- per-request attribution ------------------------------------------------

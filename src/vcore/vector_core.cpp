@@ -17,7 +17,7 @@ VectorCore::VectorCore(const CoreConfig& cfg, const L1Config& l1cfg,
 }
 
 void VectorCore::on_load_fill(Addr line_addr) {
-  frozen_valid_ = false;  // a fill readies slots and changes L1 contents
+  assert(!asleep_ && "a fill wakes the core first");
   l1_.on_fill(line_addr, fill_waiters_);
   for (const L1Cache::LoadTag tag : fill_waiters_) {
     // The tag is the waiting slot's address (see try_issue): the load
@@ -29,7 +29,6 @@ void VectorCore::on_load_fill(Addr line_addr) {
 }
 
 void VectorCore::set_max_tb(std::uint32_t n) {
-  frozen_valid_ = false;  // a throttle move can enable a fetch
   max_tb_ = std::clamp<std::uint32_t>(n, 1, cfg_.num_inst_windows);
 }
 
@@ -148,16 +147,14 @@ VectorCore::BlockReason VectorCore::try_issue(Window& w, Cycle now) {
   return BlockReason::kNone;
 }
 
-void VectorCore::tick_full(Cycle now) {
-  frozen_valid_ = false;
-
+bool VectorCore::tick(Cycle now) {
+  assert(!asleep_);
   if (active_count_ != 0) retire(now);  // nothing to retire on an idle core
   fetch_tb(now);
 
   if (active_count_ == 0) {
     ++c_idle_;
-    try_freeze(now);
-    return;
+    return true;
   }
 
   bool any_mem_block = false;
@@ -179,22 +176,11 @@ void VectorCore::tick_full(Cycle now) {
       active_ptr_ = (active_ptr_ + 1) % n;
     }
   }
-  if (!issued_any) {
-    if (any_mem_block) {
-      ++c_mem_;
-      ++c_mem_abs_;
-    }
-    try_freeze(now);
+  if (!issued_any && any_mem_block) {
+    ++c_mem_;
+    ++c_mem_abs_;
   }
-}
-
-void VectorCore::try_freeze(Cycle now) {
-  if (!fast_path_) return;
-  const WaitProfile p = wait_profile(now);
-  if (p.busy) return;
-  frozen_ = p;
-  frozen_epoch_ = scheduler_->epoch();
-  frozen_valid_ = true;
+  return !issued_any;
 }
 
 VectorCore::WaitProfile VectorCore::wait_profile(Cycle now) const {
@@ -270,16 +256,26 @@ VectorCore::WaitProfile VectorCore::wait_profile(Cycle now) const {
   return p;
 }
 
-void VectorCore::apply_skip(std::uint64_t cycles, const WaitProfile& p) {
-  assert(!p.busy);
-  if (p.idle) {
+void VectorCore::sleep(const WaitProfile& p, Cycle from) {
+  assert(!p.busy && !asleep_);
+  asleep_ = true;
+  owed_from_ = from;
+  owed_ = p;
+}
+
+void VectorCore::settle(Cycle through) {
+  if (!asleep_) return;
+  assert(through + 1 >= owed_from_);
+  const std::uint64_t cycles = through + 1 - owed_from_;
+  owed_from_ = through + 1;
+  if (owed_.idle) {
     c_idle_ += cycles;
-  } else if (p.mem_block) {
+  } else if (owed_.mem_block) {
     c_mem_ += cycles;
     c_mem_abs_ += cycles;
   }
-  if (p.blocked_loads != 0) {
-    l1_.add_blocked_loads(static_cast<std::uint64_t>(p.blocked_loads) *
+  if (owed_.blocked_loads != 0) {
+    l1_.add_blocked_loads(static_cast<std::uint64_t>(owed_.blocked_loads) *
                           cycles);
   }
 }
@@ -290,7 +286,6 @@ void VectorCore::pop_outgoing() {
     return;
   }
   assert(!store_buffer_.empty());
-  frozen_valid_ = false;  // the drain can unblock a store-blocked window
   store_buffer_.pop_front();
 }
 

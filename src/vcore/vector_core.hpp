@@ -39,29 +39,10 @@ class VectorCore {
   /// LLC load data arriving through the NoC: fills L1 and wakes waiters.
   void on_load_fill(Addr line_addr);
 
-  /// One core cycle: retire -> fetch TB -> issue (<= issue_width).
-  /// Inlined frozen replay: while the cached wait profile is valid this is
-  /// a branch plus a couple of adds (hot per the self-benchmark profile);
-  /// otherwise the full tick runs.
-  void tick(Cycle now) {
-    if (frozen_valid_ && now < frozen_.next_event &&
-        scheduler_->epoch() == frozen_epoch_) {
-      // Exactly what the full tick would do in this state. A non-issuing
-      // tick rotates active_ptr_ num_inst_windows times - back to where it
-      // started - so no state beyond the deltas moves.
-      if (frozen_.idle) {
-        ++c_idle_;
-      } else if (frozen_.mem_block) {
-        ++c_mem_;
-        ++c_mem_abs_;
-      }
-      if (frozen_.blocked_loads != 0) {
-        l1_.add_blocked_loads(frozen_.blocked_loads);
-      }
-      return;
-    }
-    tick_full(now);
-  }
+  /// One core cycle: retire -> fetch TB -> issue (<= issue_width). Returns
+  /// true when the tick issued nothing: only then can the core be frozen
+  /// (see wait_profile).
+  bool tick(Cycle now);
 
   // -- outgoing traffic (drained by the simulator under NoC credits) --------
   struct Outgoing {
@@ -83,6 +64,9 @@ class VectorCore {
   void pop_outgoing();
 
   // -- throttling ------------------------------------------------------------
+  /// Clamps `n` to [1, num_inst_windows]. A sleeping core's profile reads
+  /// the cap only through `active < max_tb`, so only a changed cap can
+  /// wake it.
   void set_max_tb(std::uint32_t n);
   [[nodiscard]] std::uint32_t max_tb() const { return max_tb_; }
 
@@ -93,13 +77,14 @@ class VectorCore {
     return first_tb_report_;
   }
 
-  // -- skip-ahead -------------------------------------------------------------
+  // -- skip-ahead and lazy settlement -----------------------------------------
   /// What the core would do over the coming cycles if its inputs stay
-  /// frozen (no fills, no scheduler changes). `busy` means it makes
-  /// observable progress at cycle now+1, so no skip is possible. Otherwise
-  /// the core is frozen until `next_event` (earliest finite head-slot
-  /// completion; kNeverCycle when it can only be woken externally), and
-  /// each frozen cycle accrues exactly the recorded per-cycle deltas.
+  /// frozen (no fills, no scheduler changes, no store-buffer drain, the
+  /// same max_tb). `busy` means it makes observable progress at cycle
+  /// now+1. Otherwise the core is frozen until `next_event` (earliest
+  /// finite head-slot completion; kNeverCycle when it can only be woken
+  /// externally), and each frozen cycle accrues exactly the recorded
+  /// per-cycle deltas.
   struct WaitProfile {
     bool busy = false;
     Cycle next_event = kNeverCycle;
@@ -108,17 +93,26 @@ class VectorCore {
     std::uint32_t blocked_loads = 0;   // l1 load_blocked per frozen cycle
   };
   [[nodiscard]] WaitProfile wait_profile(Cycle now) const;
-  /// Bulk-accounts `cycles` frozen cycles previously profiled by
-  /// wait_profile (byte-identical to ticking the frozen core that often).
-  void apply_skip(std::uint64_t cycles, const WaitProfile& p);
 
-  /// Enables/disables self-freezing (the per-tick O(1) replay of a cached
-  /// wait profile). Set from SimConfig::fast_path, so turning that off
-  /// disables every fast-path mechanism at once.
-  void set_fast_path(bool on) {
-    fast_path_ = on;
-    if (!on) frozen_valid_ = false;
+  /// Puts the core to sleep from cycle `from` on (`p` not busy): the
+  /// System stops ticking it, and every cycle from `from` on is owed as
+  /// one frozen cycle of `p`. A non-issuing tick rotates active_ptr_
+  /// num_inst_windows times, back to where it started, so no state beyond
+  /// the deltas moves.
+  void sleep(const WaitProfile& p, Cycle from);
+  /// Bulk-accounts the frozen cycles owed up to and including `through`
+  /// (byte-identical to ticking the frozen core that often); the core
+  /// stays asleep. A no-op on an awake core.
+  void settle(Cycle through);
+  /// settle(through), then leave sleep: the next tick is a full one.
+  void wake(Cycle through) {
+    settle(through);
+    asleep_ = false;
   }
+  [[nodiscard]] bool asleep() const { return asleep_; }
+  /// The cycle a sleeping core must tick again by itself (kNeverCycle:
+  /// only an input change wakes it).
+  [[nodiscard]] Cycle wake_cycle() const { return owed_.next_event; }
 
   // -- state/introspection ----------------------------------------------------
   /// True when the core holds no work at all (safe to end simulation).
@@ -187,12 +181,8 @@ class VectorCore {
 
   enum class BlockReason : std::uint8_t { kNone, kMemory, kCompute, kNoWork };
 
-  void tick_full(Cycle now);
   void retire(Cycle now);
   void fetch_tb(Cycle now);
-  /// Caches the wait profile after a non-issuing tick so subsequent ticks
-  /// replay it in O(1) until an input changes (self-freeze).
-  void try_freeze(Cycle now);
   /// Attempts to issue one instruction from window `w`.
   BlockReason try_issue(Window& w, Cycle now);
   /// C_mem accumulated since the core's first TB started (LCS observation).
@@ -207,15 +197,11 @@ class VectorCore {
   std::uint32_t max_tb_;
   TbScheduler* scheduler_ = nullptr;
 
-  // Self-freeze: after a tick that issues nothing, the core caches its
-  // wait profile and replays the per-cycle deltas in O(1) until an input
-  // changes. Inputs are invalidated conservatively: a fill, a store-buffer
-  // drain, a throttle change, or any scheduler mutation (epoch) forces a
-  // full tick; a spurious wake costs speed, never correctness.
-  bool fast_path_ = true;
-  bool frozen_valid_ = false;
-  WaitProfile frozen_;
-  std::uint64_t frozen_epoch_ = 0;
+  // Sleep state (see sleep): the profile owed for each cycle from
+  // owed_from_ on.
+  bool asleep_ = false;
+  Cycle owed_from_ = 0;
+  WaitProfile owed_;
 
   std::deque<Addr> store_buffer_;
   // Pending (miss-waiting) loads. The L1 carries each waiting slot's

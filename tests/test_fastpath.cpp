@@ -1,21 +1,25 @@
-// Fast-path equivalence suite: the event-driven skip-ahead and self-freeze
-// machinery (System fast path, on by default) must be an invisible
-// optimization. Every execution mode and a slice of the pinned fuzz corpus
-// run once with the fast path enabled and once with SimConfig::fast_path
-// off, and the two runs are compared through the same canonical digest the
-// serving fuzzer uses - byte-identity, not approximate equality. A third
-// suite pins the parallel sweep contract: llamcat_stress-style sweeps give
-// bit-identical results for any --jobs count.
+// Fast-path equivalence suite: the event-driven skip-ahead and the awake
+// sets with lazy settlement (System fast path, on by default) must be an
+// invisible optimization. Every execution mode, every arbitration x
+// throttling policy pair and a slice of the pinned fuzz corpus run once
+// with the fast path enabled and once with SimConfig::fast_path off, and
+// the two runs are compared through a canonical digest - byte-identity,
+// not approximate equality. A last suite pins the parallel sweep contract:
+// llamcat_stress-style sweeps give bit-identical results for any --jobs
+// count.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "scenario/fuzz.hpp"
 #include "scenario/scenario.hpp"
+#include "sim/experiment.hpp"
+#include "sim/report.hpp"
 
 namespace llamcat {
 namespace {
@@ -128,6 +132,57 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ModeCase>& info) {
       return info.param.name;
     });
+
+// Every arbitration policy under every throttling controller, on a small
+// Logit under static and wave dispatch. Between them the runs wake
+// sleeping cores and slices through every cause: a fill, a store-buffer
+// drain, a scheduler epoch change, a throttle resample that moves max_tb,
+// and reaching next_event. The slice request queues are short and the
+// store buffer holds one store, so NoC credits run out and cores sleep
+// blocked on an undrained store.
+using PolicyCase = std::tuple<ArbPolicy, ThrottlePolicy, TbDispatch>;
+
+std::string logit_digest(const PolicyCase& pc, bool fast_path) {
+  const auto [arb, throttle, dispatch] = pc;
+  SimConfig cfg = with_policies(small_config(), throttle, arb);
+  cfg.core.tb_dispatch = dispatch;
+  cfg.core.store_buffer_size = 1;
+  cfg.llc.req_q_size = 2;
+  cfg.fast_path = fast_path;
+  const Workload wl = Workload::logit(tiny_model(), 512, cfg);
+  const SimStats s = run_simulation(cfg, wl);
+  std::ostringstream os;
+  write_json(os, "logit", s);  // every counter
+  os << std::hexfloat << s.l2_hit_rate << ' ' << s.mshr_hit_rate << ' '
+     << s.mshr_entry_util << ' ' << s.dram_bw_gbps << ' ' << s.t_cs << ' '
+     << s.ipc;
+  return os.str();
+}
+
+std::string policy_case_name(const ::testing::TestParamInfo<PolicyCase>& info) {
+  return to_string(std::get<0>(info.param)) + "_" +
+         to_string(std::get<1>(info.param)) + "_" +
+         to_string(std::get<2>(info.param));
+}
+
+class EveryPolicyFastpath : public ::testing::TestWithParam<PolicyCase> {};
+
+TEST_P(EveryPolicyFastpath, FastPathOffIsByteIdenticalToOn) {
+  EXPECT_EQ(logit_digest(GetParam(), true), logit_digest(GetParam(), false));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, EveryPolicyFastpath,
+    ::testing::Combine(
+        ::testing::Values(ArbPolicy::kFcfs, ArbPolicy::kBalanced,
+                          ArbPolicy::kMa, ArbPolicy::kBma, ArbPolicy::kCobrra,
+                          ArbPolicy::kMrpb, ArbPolicy::kOracle,
+                          ArbPolicy::kRandom),
+        ::testing::Values(ThrottlePolicy::kNone, ThrottlePolicy::kDyncta,
+                          ThrottlePolicy::kLcs, ThrottlePolicy::kDynMg),
+        ::testing::Values(TbDispatch::kStaticBlocked,
+                          TbDispatch::kPartitionedStealing)),
+    policy_case_name);
 
 // The admission hook's wake hints decide which cycles System::run steps one
 // by one and which it skips; perfbench's sim.stepped_frac reads the result

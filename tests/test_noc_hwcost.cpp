@@ -23,7 +23,7 @@ MemRequest mk(Addr a, CoreId core) {
 }
 
 TEST(Network, RequestArrivesAfterLatency) {
-  Network net(noc_cfg(), 2, 2, 4);
+  Network net(noc_cfg(), 2, 4);
   net.send_request(0, mk(0x40, 1), /*now=*/10);
   EXPECT_EQ(net.peek_request(0, 14), nullptr);
   const MemRequest* r = net.peek_request(0, 15);
@@ -34,7 +34,7 @@ TEST(Network, RequestArrivesAfterLatency) {
 }
 
 TEST(Network, FifoOrderPreserved) {
-  Network net(noc_cfg(), 1, 1, 8);
+  Network net(noc_cfg(), 1, 8);
   for (Addr i = 0; i < 4; ++i) net.send_request(0, mk(i * 64, 0), i);
   for (Addr i = 0; i < 4; ++i) {
     const MemRequest* r = net.peek_request(0, 100);
@@ -45,7 +45,7 @@ TEST(Network, FifoOrderPreserved) {
 }
 
 TEST(Network, CreditsProvideBackpressure) {
-  Network net(noc_cfg(), 1, 2, 2);
+  Network net(noc_cfg(), 2, 2);
   EXPECT_TRUE(net.can_send_request(0));
   net.send_request(0, mk(0, 0), 0);
   net.send_request(0, mk(64, 0), 0);
@@ -55,15 +55,35 @@ TEST(Network, CreditsProvideBackpressure) {
   EXPECT_TRUE(net.can_send_request(0));
 }
 
-TEST(Network, ResponsesRoutedPerCore) {
-  Network net(noc_cfg(), 2, 1, 4);
+TEST(Network, ResponsesShareOneSendOrderedFifo) {
+  Network net(noc_cfg(), 1, 4);
   net.send_response(MemResponse{0x80, 1, 7}, 0);
-  EXPECT_EQ(net.peek_response(0, 100), nullptr);
-  const MemResponse* r = net.peek_response(1, 7);
+  net.send_response(MemResponse{0xC0, 0, 8}, 1);
+  EXPECT_EQ(net.peek_response(6), nullptr);
+  EXPECT_EQ(net.next_response_ready(), 7u);
+  const MemResponse* r = net.peek_response(7);
   ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->core, 1u);  // each response carries its core
   EXPECT_EQ(r->req_id, 7u);
-  net.pop_response(1);
+  net.pop_response();
+  EXPECT_EQ(net.peek_response(7), nullptr);  // the second matures at 8
+  r = net.peek_response(8);
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->core, 0u);
+  net.pop_response();
   EXPECT_TRUE(net.idle());
+}
+
+TEST(Network, IngressMaskTracksNonEmptyRequestChannels) {
+  Network net(noc_cfg(), 70, 4);  // more slices than one mask word
+  EXPECT_EQ(net.ingress().next(0), DynBitset::npos);
+  net.send_request(66, mk(0, 0), 0);
+  net.send_request(66, mk(64, 0), 0);
+  EXPECT_EQ(net.ingress().next(0), 66u);
+  net.pop_request(66);
+  EXPECT_TRUE(net.ingress().test(66));  // one request still in flight
+  net.pop_request(66);
+  EXPECT_EQ(net.ingress().next(0), DynBitset::npos);
 }
 
 // ------------------------------------------------------------- hwcost --
