@@ -169,6 +169,11 @@ void LlcConfig::validate() const {
   if (!is_pow2(num_slices)) fail("num_slices must be a power of two");
   const std::uint64_t sets = size_bytes / (assoc * kLineBytes);
   if (sets == 0) fail("LLC has zero sets");
+  // SliceMap masks global set indices with sets - 1.
+  if (!is_pow2(sets)) {
+    fail("LLC set count " + std::to_string(sets) +
+         " is not a power of two");
+  }
   if (sets % num_slices != 0) fail("LLC sets not divisible by slices");
   if (mshr_entries == 0 || mshr_targets == 0) fail("MSHR dims == 0");
   if (req_q_size == 0 || resp_q_size == 0) fail("LLC queue size == 0");

@@ -6,9 +6,9 @@
 //    runs the full contract over thousands of drawn scenarios;
 //  - the seeded-corpus regression suite (tests/test_serving_fuzz.cpp)
 //    replays pinned seeds through the same checks on every CI run;
-//  - run_continuous itself feeds the in-engine ledger auditor when
-//    DecodePassConfig::audit is set (llamcat_cli sets it from --audit),
-//    catching a violation on the exact cycle it happens
+//  - ServingEngine (scenario/serving_engine.hpp) feeds the in-engine
+//    ledger auditor when DecodePassConfig::audit is set (llamcat_cli sets
+//    it from --audit), catching a violation on the exact cycle it happens
 //    instead of post-mortem.
 //
 // The contract (docs/testing.md is the prose version):
@@ -57,7 +57,7 @@ class InvariantViolation : public std::runtime_error {
       : std::runtime_error("serving invariant violated: " + what) {}
 };
 
-/// In-engine KV byte-ledger auditor. run_continuous reports every serving
+/// In-engine KV byte-ledger auditor. ServingEngine reports every serving
 /// event (first admission, resume, eviction, finish) together with its own
 /// resident-bytes ledger. The auditor replays the block-level lifecycle
 /// (pin/unref/swap/free per (group, block) key) through its own shadow map

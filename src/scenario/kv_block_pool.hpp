@@ -83,12 +83,13 @@ struct KvBlockPoolConfig {
   void validate() const;
 };
 
-/// Shared, ref-counted KV block pool. Request indices are the engine's dense
-/// indices (0 .. num_requests-1), matching the ReqState / peak_bytes arrays
-/// in run_continuous. All mutating calls enforce the request lifecycle
-/// (admit -> [release -> resume]* -> finish) and throw std::logic_error on a
-/// misuse such as a double release or a finish while released - the engine
-/// never does these, and the ledger tests pin that the pool refuses them.
+/// Shared, ref-counted KV block pool. Request indices are ServingEngine's
+/// dense request indices (0 .. num_requests-1, batch order; see
+/// scenario/serving_engine.hpp). All mutating calls enforce the request
+/// lifecycle (admit -> [release -> resume]* -> finish) and throw
+/// std::logic_error on a misuse such as a double release or a finish while
+/// released - the engine never does these, and the ledger tests pin that
+/// the pool refuses them.
 class KvBlockPool {
  public:
   /// Per-request block-layout input: the peak footprint the budget pins and

@@ -43,7 +43,6 @@ System::System(const SimConfig& cfg, const ITbSource& source,
   awake_cores_.set_all();
   awake_slices_ = DynBitset(slices_.size());
   awake_slices_.set_all();
-  epoch_seen_ = scheduler_.epoch();
   out_slice_.assign(cores_.size(), kNoSlice);
   waiting_.assign(slices_.size(), DynBitset(cores_.size()));
   n_waiting_.assign(slices_.size(), 0);
@@ -66,33 +65,14 @@ void System::deliver_responses() {
   }
 }
 
-void System::wake_cores_on_epoch(Cycle through) {
-  if (scheduler_.epoch() == epoch_seen_) return;
-  epoch_seen_ = scheduler_.epoch();
-  for (std::uint32_t c = 0; c < cores_.size(); ++c) {
-    if (cores_[c]->asleep()) wake_core(c, through);
-  }
-}
-
 void System::tick_cores() {
-  // A scheduler change outside the sweep (an admission hook's
-  // inject_work) wakes every sleeper for this cycle's sweep.
-  wake_cores_on_epoch(cycle_ - 1);
-  // Ascending index; bits set above the cursor are visited this cycle.
+  // Ascending index: the dispatch order of thread blocks depends on it.
   for (std::size_t i = awake_cores_.next(0); i != DynBitset::npos;
        i = awake_cores_.next(i + 1)) {
     const auto c = static_cast<std::uint32_t>(i);
     VectorCore& core = *cores_[c];
     const bool quiet = core.tick(cycle_);
     if (!quiet) track_outgoing(c);  // only an issue queues a request
-    if (scheduler_.epoch() != epoch_seen_) {
-      // The tick dispatched or completed a thread block. Sleepers above c
-      // wake and tick this cycle; those below already spent it frozen.
-      epoch_seen_ = scheduler_.epoch();
-      for (std::uint32_t k = 0; k < cores_.size(); ++k) {
-        if (cores_[k]->asleep()) wake_core(k, k > c ? cycle_ - 1 : cycle_);
-      }
-    }
     if (quiet && cfg_.fast_path) {
       const VectorCore::WaitProfile p = core.wait_profile(cycle_);
       if (!p.busy) sleep_core(c, p);
@@ -360,6 +340,12 @@ std::uint64_t System::inject_work() {
   }
   for (auto& core : cores_) core->sync_requests(n);
   for (auto& slice : slices_) slice->sync_tagger_requests();
+  // Only injected work can give a sleeping core a thread block to fetch (a
+  // dispatch or a completion never makes has_tb_for true). The hook runs
+  // after cycle_'s events, so a sleeper counts cycle_ as frozen.
+  for (std::uint32_t c = 0; c < cores_.size(); ++c) {
+    if (cores_[c]->asleep()) wake_core(c, cycle_);
+  }
   return added;
 }
 
@@ -409,7 +395,6 @@ Cycle System::next_wake(bool has_hook) {
     wake = std::min(wake, resp);
   }
   if (injectable(inject_scratch_)) return no_skip;
-  wake_cores_on_epoch(now);  // work the admission hook just injected
   for (std::size_t i = awake_cores_.next(0); i != DynBitset::npos;
        i = awake_cores_.next(i + 1)) {
     const VectorCore::WaitProfile p = cores_[i]->wait_profile(now);

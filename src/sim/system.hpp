@@ -49,8 +49,8 @@ class System : private IFlightObserver {
   /// Publishes thread blocks appended to the source since the last call:
   /// the scheduler deals them into its queues and every per-request
   /// tracking array (flight observation, core issue counters, LLC slice
-  /// counters) grows to the new request population. Returns the number of
-  /// thread blocks injected.
+  /// counters) grows to the new request population, and every sleeping
+  /// core wakes. Returns the number of thread blocks injected.
   std::uint64_t inject_work();
 
   /// Single-step API for tests: one cycle, after which every sleeping
@@ -119,9 +119,6 @@ class System : private IFlightObserver {
   /// cycle_ when this cycle already counted as frozen for it.
   void wake_core(std::uint32_t c, Cycle through);
   void wake_slice(std::uint32_t s, Cycle through);
-  /// After a scheduler change since the last check, wakes every sleeping
-  /// core with wake_core(c, through).
-  void wake_cores_on_epoch(Cycle through);
   /// Wakes the sleepers whose alarm is due this cycle.
   void ring_alarms();
   /// Earliest live alarm (kNeverCycle when none); drops stale ones.
@@ -178,8 +175,6 @@ class System : private IFlightObserver {
     bool operator>(const Alarm& o) const { return at > o.at; }
   };
   std::priority_queue<Alarm, std::vector<Alarm>, std::greater<>> alarms_;
-  /// Scheduler epoch the sleeping cores were last checked against.
-  std::uint64_t epoch_seen_ = 0;
 
   // Injection index: each core's head outgoing request's slice (kNoSlice
   // when it has none), per slice the cores waiting on it and their count,

@@ -28,7 +28,6 @@ std::uint32_t DynamicTbSource::dense_of(std::uint32_t request_id) {
       request_id, static_cast<std::uint32_t>(request_ids_.size()));
   if (inserted) {
     request_ids_.push_back(request_id);
-    req_tbs_.push_back(0);
     req_retired_.push_back(false);
   }
   return it->second;
@@ -84,7 +83,6 @@ std::uint64_t DynamicTbSource::commit(FuseOrder order) {
     d.request_id = op_request_id_[op];
     d.source_op = op;
     tbs_.push_back(d);
-    ++req_tbs_[request_index_.at(op_request_id_[op])];
   };
 
   if (order == FuseOrder::kConcat) {
@@ -120,11 +118,6 @@ void DynamicTbSource::retire_request(std::uint32_t request_id) {
 bool DynamicTbSource::retired(std::uint32_t request_id) const {
   const auto it = request_index_.find(request_id);
   return it != request_index_.end() && req_retired_[it->second];
-}
-
-std::uint64_t DynamicTbSource::tbs_of_request(std::uint32_t request_id) const {
-  const auto it = request_index_.find(request_id);
-  return it == request_index_.end() ? 0 : req_tbs_[it->second];
 }
 
 std::uint32_t DynamicTbSource::instr_count(std::uint64_t tb_idx) const {

@@ -68,9 +68,6 @@ class DynamicTbSource final : public ITbSource, public IRequestTagger {
   void retire_request(std::uint32_t request_id);
   [[nodiscard]] bool retired(std::uint32_t request_id) const;
 
-  /// Total thread blocks ever committed for `request_id` (0 if unknown).
-  [[nodiscard]] std::uint64_t tbs_of_request(std::uint32_t request_id) const;
-
   // -- ITbSource ------------------------------------------------------------
   [[nodiscard]] std::uint64_t num_tbs() const override { return tbs_.size(); }
   [[nodiscard]] const TbDesc& tb(std::uint64_t idx) const override {
@@ -114,7 +111,6 @@ class DynamicTbSource final : public ITbSource, public IRequestTagger {
   std::vector<std::uint32_t> request_ids_;    // dense index -> external id
   std::unordered_map<std::uint32_t, std::uint32_t> request_index_;
   std::unordered_map<std::uint64_t, std::uint32_t> slot_owner_;  // -> dense
-  std::vector<std::uint64_t> req_tbs_;   // per dense: committed TB count
   std::vector<bool> req_retired_;        // per dense
   std::vector<Ref> refs_;    // global TB idx -> (op, local)
   std::vector<TbDesc> tbs_;  // with provenance, ids renumbered

@@ -133,7 +133,6 @@ void TbScheduler::build_partitioned_queues(std::uint32_t num_cores) {
 
 std::optional<std::uint64_t> TbScheduler::next_tb(CoreId core) {
   const auto dispatch = [this](std::uint64_t tb) {
-    ++epoch_;  // a pop changes every core's work visibility
     const std::uint32_t r = tb_req_idx_[tb];
     if (++req_dispatched_[r] == 1 && observer_ != nullptr) {
       observer_->on_first_dispatch(r);
@@ -237,14 +236,12 @@ std::uint64_t TbScheduler::sync_with_source() {
     }
   }
   total_ = n;
-  ++epoch_;
   return count;
 }
 
 void TbScheduler::mark_complete(std::uint64_t tb_idx) {
   assert(tb_idx < total_);
   assert(!done_[tb_idx] && "thread block completed twice");
-  ++epoch_;
   done_[tb_idx] = true;
   ++completed_;
   const std::uint32_t r = tb_req_idx_[tb_idx];

@@ -100,12 +100,6 @@ class TbScheduler {
   [[nodiscard]] std::uint64_t stolen() const { return stolen_; }
   [[nodiscard]] const ITbSource& source() const { return source_; }
 
-  /// Monotonic mutation counter, bumped by every queue/bookkeeping change
-  /// (dispatch, completion, injection). System wakes every sleeping core
-  /// when it moves, so any scheduler change costs a sleeper a full tick
-  /// (over-waking is harmless, staleness is not).
-  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
-
   // -- per-request attribution ------------------------------------------------
   /// Distinct request tags seen in the source so far (plain single-operator
   /// sources tag every TB with request 0; an empty source - a dynamic one
@@ -159,7 +153,6 @@ class TbScheduler {
   std::uint64_t total_;
   std::uint64_t completed_ = 0;
   std::uint64_t stolen_ = 0;
-  std::uint64_t epoch_ = 0;
   std::vector<std::deque<std::uint64_t>> queues_;  // per core; [0] if global
 
   // Request bookkeeping (dense indices, order of first appearance).

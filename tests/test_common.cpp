@@ -177,6 +177,12 @@ TEST(Config, ValidationCatchesBadGeometry) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg.llc.size_bytes = cfg.llc.assoc * kLineBytes - 1;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  // SliceMap masks set indices with sets - 1, so the set count must be a
+  // power of two: 3 MiB of 8-way 64 B lines is 6144 sets.
+  cfg.llc.size_bytes = 3ull << 20;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.llc.size_bytes = 4ull << 20;
+  EXPECT_NO_THROW(cfg.validate());
   // NaN fails the range check instead of slipping past both comparisons.
   for (const double p : {std::numeric_limits<double>::quiet_NaN(), -0.1, 1.1}) {
     cfg = SimConfig::table5();

@@ -59,7 +59,7 @@ TEST(DynamicTbSource, CommitAppendsAndPreservesEarlierIndices) {
   const std::uint64_t first_batch = src.commit();
   EXPECT_GT(first_batch, 0u);
   EXPECT_EQ(src.num_tbs(), first_batch);
-  EXPECT_EQ(src.tbs_of_request(3), first_batch);
+  EXPECT_EQ(src.tb(first_batch - 1).request_id, 3u);
 
   const TbDesc before = src.tb(0);
   src.add(7, shift_to_slot(a.op, 1), a.mapping);
