@@ -13,8 +13,8 @@
 
 #include "cli/options.hpp"
 #include "common/math_util.hpp"
+#include "common/parallel_map.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/experiment.hpp"
 

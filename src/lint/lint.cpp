@@ -46,9 +46,9 @@ const std::vector<Rule>& rule_table() {
        "every *Config struct must declare validate() so misconfiguration "
        "fails loudly at construction instead of corrupting a run"},
       {"raw-mutex",
-       "std:: locking primitives are invisible to clang -Wthread-safety; "
-       "use llamcat::Mutex / MutexLock / CondVar from common/sync.hpp so "
-       "GUARDED_BY contracts stay machine-checked"},
+       "simulation code shares no mutable state across threads (each "
+       "parallel_map call owns its slot); a lock means shared state, so "
+       "restructure instead of locking"},
       {"allow-without-reason",
        "a lint:allow(...) suppression must carry ': <reason>' text; an "
        "unexplained suppression is indistinguishable from a silenced bug"},
@@ -654,8 +654,8 @@ class Analyzer {
           t == "condition_variable_any" || t == "lock_guard" ||
           t == "unique_lock" || t == "scoped_lock" || t == "shared_lock") {
         add(toks_[i].line, "raw-mutex",
-            "std::" + t + " bypasses the annotated sync wrappers "
-                          "(common/sync.hpp)");
+            "std::" + t + " implies state shared across threads; give each "
+                          "parallel_map call its own slot instead");
       }
     }
   }

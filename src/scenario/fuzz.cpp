@@ -3,8 +3,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/parallel_map.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "scenario/invariants.hpp"
 
 namespace llamcat::scenario {

@@ -15,7 +15,7 @@
 //
 // Every point is an independent single-threaded simulation run in axis
 // order in the caller's thread; a bench that charts several curves fans
-// the curves out with parallel_map (common/thread_pool.hpp).
+// the curves out with parallel_map (common/parallel_map.hpp).
 #pragma once
 
 #include <cstdint>

@@ -4,7 +4,7 @@
 #include <iostream>
 #include <sstream>
 
-#include "common/thread_pool.hpp"
+#include "common/parallel_map.hpp"
 #include "sim/system.hpp"
 #include "trace/tracegen.hpp"
 

@@ -1,8 +1,7 @@
-// Fixture: the raw-mutex rule. std:: locking primitives carry no clang
-// thread-safety annotations, so state they guard is invisible to
-// -Wthread-safety. Simulation code uses llamcat::Mutex / MutexLock /
-// CondVar (common/sync.hpp), which wrap the same primitives and keep the
-// GUARDED_BY contracts machine-checked.
+// Fixture: the raw-mutex rule. Simulation code shares no mutable state
+// across threads: each parallel_map call writes its own pre-sized slot, so
+// there is nothing to lock. A lock means shared state; the fix is to
+// restructure so every thread owns what it writes.
 #include <mutex>
 
 struct UncheckedQueue {
@@ -16,7 +15,7 @@ void bump(UncheckedQueue& q) {
 }
 
 // Honored suppression: code interfacing with a third-party API that hands
-// out std primitives has nothing to annotate.
+// out std primitives has no say in how that state is shared.
 struct ExternalHandle {
   // lint:allow(raw-mutex): third-party callback API hands us its std::mutex
   std::mutex* borrowed = nullptr;
