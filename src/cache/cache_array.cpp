@@ -1,5 +1,6 @@
 #include "cache/cache_array.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 
@@ -12,8 +13,8 @@ CacheArray::CacheArray(std::uint32_t num_sets, std::uint32_t assoc,
       assoc_(assoc),
       repl_(repl),
       insert_(insert),
-      ways_(static_cast<std::size_t>(num_sets) * assoc),
-      plru_(num_sets, 0),
+      words_(static_cast<std::size_t>(num_sets) * assoc, 0),
+      plru_(repl == ReplPolicy::kTreePlru ? num_sets : 0, 0),
       rng_(seed) {
   assert(num_sets_ > 0 && assoc_ > 0);
   constexpr std::size_t kPerLine = 64 / sizeof(Addr);
@@ -34,12 +35,56 @@ bool CacheArray::probe(std::uint32_t set, Addr line_addr) const {
   return find(set, line_addr) != assoc_;
 }
 
+std::uint32_t CacheArray::next_stamp() {
+  if (tick_ == kMaxStamp) renormalise();
+  return ++tick_;
+}
+
+void CacheArray::renormalise() {
+  // A victim is chosen by comparing stamps within one set only, so each
+  // set's stamps can be replaced by their dense ranks: order and equality
+  // are kept, and the streaming-insert stamp 0 stays 0. Ranks are at most
+  // assoc_, and the clock restarts above them.
+  std::vector<std::uint32_t> distinct(assoc_);
+  for (std::uint32_t s = 0; s < num_sets_; ++s) {
+    std::uint32_t* m = words(s);
+    for (std::uint32_t w = 0; w < assoc_; ++w) distinct[w] = m[w] & kState;
+    std::sort(distinct.begin(), distinct.end());
+    const auto end = std::unique(distinct.begin(), distinct.end());
+    const std::uint32_t first_rank = distinct.front() == 0 ? 0 : 1;
+    for (std::uint32_t w = 0; w < assoc_; ++w) {
+      const auto rank = static_cast<std::uint32_t>(
+          std::lower_bound(distinct.begin(), end, m[w] & kState) -
+          distinct.begin());
+      m[w] = (m[w] & kDirty) | (first_rank + rank);
+    }
+  }
+  tick_ = assoc_;
+}
+
+void CacheArray::set_stamp_clock(std::uint32_t tick) {
+  assert(tick <= kMaxStamp && valid_count() == 0);
+  tick_ = tick;
+}
+
 void CacheArray::promote(std::uint32_t set, std::uint32_t w) {
-  if (repl_ == ReplPolicy::kFifo) return;  // eviction order fixed at insert
-  Way& meta = way(set, w);
-  meta.stamp = ++tick_;
-  meta.rrpv = 0;  // SRRIP: re-referenced lines become near-immediate
-  if (repl_ == ReplPolicy::kTreePlru) set_plru_bits(set, w);
+  std::uint32_t& word = words(set)[w];
+  switch (repl_) {
+    case ReplPolicy::kLru: {
+      const std::uint32_t stamp = next_stamp();
+      word = (word & kDirty) | stamp;
+      return;
+    }
+    case ReplPolicy::kSrrip:
+      word &= kDirty;  // re-referenced lines become near-immediate (RRPV 0)
+      return;
+    case ReplPolicy::kTreePlru:
+      set_plru_bits(set, w);
+      return;
+    case ReplPolicy::kFifo:  // eviction order fixed at insert
+    case ReplPolicy::kRandom:
+      return;
+  }
 }
 
 bool CacheArray::touch(std::uint32_t set, Addr line_addr) {
@@ -91,14 +136,16 @@ std::uint32_t CacheArray::victim_way(std::uint32_t set) {
   // Invalid way first.
   const std::uint32_t free_way = find(set, kNoAddr);
   if (free_way != assoc_) return free_way;
-  Way* base = &way(set, 0);
+  std::uint32_t* m = words(set);
   switch (repl_) {
-    case ReplPolicy::kLru: {
+    case ReplPolicy::kLru:
+    case ReplPolicy::kFifo: {
       std::uint32_t victim = 0;
-      std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
+      std::uint32_t oldest = std::numeric_limits<std::uint32_t>::max();
       for (std::uint32_t w = 0; w < assoc_; ++w) {
-        if (base[w].stamp < oldest) {
-          oldest = base[w].stamp;
+        const std::uint32_t stamp = m[w] & kState;
+        if (stamp < oldest) {
+          oldest = stamp;
           victim = w;
         }
       }
@@ -113,23 +160,12 @@ std::uint32_t CacheArray::victim_way(std::uint32_t set) {
       // none, age every way and retry. Terminates in <= 3 rounds.
       for (;;) {
         for (std::uint32_t w = 0; w < assoc_; ++w) {
-          if (base[w].rrpv == 3) return w;
+          if ((m[w] & kState) == 3) return w;
         }
         for (std::uint32_t w = 0; w < assoc_; ++w) {
-          if (base[w].rrpv < 3) ++base[w].rrpv;
+          if ((m[w] & kState) < 3) ++m[w];
         }
       }
-    }
-    case ReplPolicy::kFifo: {
-      std::uint32_t victim = 0;
-      std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-      for (std::uint32_t w = 0; w < assoc_; ++w) {
-        if (base[w].stamp < oldest) {
-          oldest = base[w].stamp;
-          victim = w;
-        }
-      }
-      return victim;
     }
   }
   return 0;
@@ -140,37 +176,42 @@ std::optional<CacheArray::Evicted> CacheArray::fill(std::uint32_t set,
                                                     bool dirty) {
   assert(line_addr != kNoAddr && !probe(set, line_addr));
   const std::uint32_t w = victim_way(set);
+  // The new line's state, computed before the slot changes: taking a stamp
+  // may renormalise this set.
+  std::uint32_t state = 0;
+  switch (repl_) {
+    case ReplPolicy::kFifo:
+      // FIFO ignores the insertion policy: age is fixed at insertion time.
+      state = next_stamp();
+      break;
+    case ReplPolicy::kSrrip:
+      // SRRIP insertion: "long" for MRU-style insert, "distant" for
+      // streaming (SRRIP-D).
+      state = insert_ == InsertPolicy::kMru ? 2 : 3;
+      break;
+    case ReplPolicy::kLru:
+      // Streaming insert: stamp 0 makes this line the LRU victim candidate.
+      state = insert_ == InsertPolicy::kMru ? next_stamp() : 0;
+      break;
+    case ReplPolicy::kTreePlru:
+      if (insert_ == InsertPolicy::kMru) set_plru_bits(set, w);
+      break;
+    case ReplPolicy::kRandom:
+      break;
+  }
   Addr& tag = tags(set)[w];
-  Way& meta = way(set, w);
+  std::uint32_t& word = words(set)[w];
   std::optional<Evicted> evicted;
-  if (tag != kNoAddr) evicted = Evicted{tag, meta.dirty};
+  if (tag != kNoAddr) evicted = Evicted{tag, (word & kDirty) != 0};
   tag = line_addr;
-  meta.dirty = dirty;
-  if (repl_ == ReplPolicy::kFifo) {
-    // FIFO ignores the insertion policy: age is fixed at insertion time.
-    meta.stamp = ++tick_;
-    return evicted;
-  }
-  if (repl_ == ReplPolicy::kSrrip) {
-    // SRRIP insertion: "long" for MRU-style insert, "distant" for
-    // streaming (SRRIP-D); stamp kept for deterministic test inspection.
-    meta.rrpv = insert_ == InsertPolicy::kMru ? 2 : 3;
-    meta.stamp = insert_ == InsertPolicy::kMru ? ++tick_ : 0;
-    return evicted;
-  }
-  if (insert_ == InsertPolicy::kMru) {
-    promote(set, w);
-  } else {
-    // Streaming insert: stamp 0 makes this line the LRU victim candidate.
-    meta.stamp = 0;
-  }
+  word = (dirty ? kDirty : 0) | state;
   return evicted;
 }
 
 bool CacheArray::mark_dirty(std::uint32_t set, Addr line_addr) {
   const std::uint32_t w = find(set, line_addr);
   if (w == assoc_) return false;
-  way(set, w).dirty = true;
+  words(set)[w] |= kDirty;
   return true;
 }
 
@@ -178,13 +219,20 @@ bool CacheArray::invalidate(std::uint32_t set, Addr line_addr) {
   const std::uint32_t w = find(set, line_addr);
   if (w == assoc_) return false;
   tags(set)[w] = kNoAddr;
-  way(set, w).dirty = false;
+  words(set)[w] = 0;
   return true;
 }
 
 std::uint8_t CacheArray::rrpv_of(std::uint32_t set, Addr line_addr) const {
   const std::uint32_t w = find(set, line_addr);
-  return w != assoc_ ? way(set, w).rrpv : 0;
+  if (w == assoc_ || repl_ != ReplPolicy::kSrrip) return 0;
+  return static_cast<std::uint8_t>(words(set)[w] & kState);
+}
+
+std::size_t CacheArray::heap_bytes() const {
+  return tag_store_.capacity() * sizeof(Addr) +
+         words_.capacity() * sizeof(std::uint32_t) +
+         plru_.capacity() * sizeof(std::uint32_t);
 }
 
 std::uint64_t CacheArray::valid_count() const {

@@ -2,6 +2,7 @@
 // insertion policies. Data values are not simulated, only presence/dirtiness.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -15,8 +16,15 @@ namespace llamcat {
 /// Storage for `num_sets x assoc` lines. The caller supplies the set index
 /// (so an LLC slice can use the global-set -> slice interleaving while the
 /// L1 uses plain modulo indexing).
+///
+/// A line costs 12 bytes: an 8-byte tag and a 32-bit replacement word.
+/// Tree-PLRU adds 4 bytes of tree bits per set.
 class CacheArray {
  public:
+  /// Largest LRU/FIFO stamp. Before the clock would pass it, every set's
+  /// stamps are renormalised to dense ranks (see next_stamp).
+  static constexpr std::uint32_t kMaxStamp = (1u << 31) - 1;
+
   CacheArray(std::uint32_t num_sets, std::uint32_t assoc, ReplPolicy repl,
              InsertPolicy insert, std::uint64_t seed = 1);
 
@@ -53,13 +61,21 @@ class CacheArray {
   /// Re-reference prediction value of a resident line (kSrrip only; tests).
   [[nodiscard]] std::uint8_t rrpv_of(std::uint32_t set, Addr line_addr) const;
 
+  /// The last LRU/FIFO stamp handed out (tests).
+  [[nodiscard]] std::uint32_t stamp_clock() const { return tick_; }
+  /// Restarts the LRU/FIFO clock at `tick` <= kMaxStamp, so a test reaches
+  /// the renormalisation without 2^31 promotes. Call before the first fill.
+  void set_stamp_clock(std::uint32_t tick);
+
+  /// Heap bytes held by the tag, replacement and PLRU arrays (tests).
+  [[nodiscard]] std::size_t heap_bytes() const;
+
  private:
-  /// Replacement state of one way; presence lives in the tag array.
-  struct Way {
-    bool dirty = false;
-    std::uint8_t rrpv = 0;     // kSrrip: 2-bit re-reference prediction
-    std::uint64_t stamp = 0;   // LRU / FIFO timestamp
-  };
+  // A line's replacement word: the dirty bit on top, and below it the
+  // policy's per-line state - the LRU/FIFO stamp or the SRRIP RRPV.
+  // Tree-PLRU and random keep none.
+  static constexpr std::uint32_t kDirty = 1u << 31;
+  static constexpr std::uint32_t kState = kDirty - 1;
 
   /// The set's tags, contiguous: an 8-way probe reads one 64-byte line.
   Addr* tags(std::uint32_t set) {
@@ -68,16 +84,20 @@ class CacheArray {
   const Addr* tags(std::uint32_t set) const {
     return const_cast<CacheArray*>(this)->tags(set);
   }
-  Way& way(std::uint32_t set, std::uint32_t w) {
-    return ways_[static_cast<std::size_t>(set) * assoc_ + w];
+  /// The set's replacement words, in way order.
+  std::uint32_t* words(std::uint32_t set) {
+    return words_.data() + static_cast<std::size_t>(set) * assoc_;
   }
-  const Way& way(std::uint32_t set, std::uint32_t w) const {
-    return ways_[static_cast<std::size_t>(set) * assoc_ + w];
+  const std::uint32_t* words(std::uint32_t set) const {
+    return words_.data() + static_cast<std::size_t>(set) * assoc_;
   }
   /// Way holding `line_addr`, or assoc_ when absent.
   std::uint32_t find(std::uint32_t set, Addr line_addr) const;
   std::uint32_t victim_way(std::uint32_t set);
   void promote(std::uint32_t set, std::uint32_t way);
+  /// Advances the clock, renormalising first if it is at kMaxStamp.
+  std::uint32_t next_stamp();
+  void renormalise();
   void set_plru_bits(std::uint32_t set, std::uint32_t way);
   std::uint32_t plru_victim(std::uint32_t set) const;
 
@@ -90,9 +110,9 @@ class CacheArray {
   // keeps the array copyable.
   std::vector<Addr> tag_store_;
   std::size_t tag_off_ = 0;
-  std::vector<Way> ways_;             // num_sets * assoc
-  std::vector<std::uint32_t> plru_;   // tree-PLRU bits per set
-  std::uint64_t tick_ = 0;            // LRU clock
+  std::vector<std::uint32_t> words_;  // num_sets * assoc replacement words
+  std::vector<std::uint32_t> plru_;   // tree-PLRU bits per set (kTreePlru)
+  std::uint32_t tick_ = 0;            // LRU/FIFO clock
   Xoshiro256 rng_;
 };
 

@@ -142,6 +142,7 @@ void CoreConfig::validate() const {
 }
 
 void L1Config::validate() const {
+  if (assoc == 0) throw std::invalid_argument("L1Config: assoc == 0");
   if (!is_pow2(size_bytes) || size_bytes % (assoc * kLineBytes) != 0) {
     throw std::invalid_argument(
         "L1Config: L1 geometry not a power-of-two set count");
@@ -167,6 +168,7 @@ void LlcConfig::validate() const {
     throw std::invalid_argument("LlcConfig: " + msg);
   };
   if (!is_pow2(num_slices)) fail("num_slices must be a power of two");
+  if (assoc == 0) fail("assoc == 0");
   const std::uint64_t sets = size_bytes / (assoc * kLineBytes);
   if (sets == 0) fail("LLC has zero sets");
   // SliceMap masks global set indices with sets - 1.

@@ -64,7 +64,6 @@ void DramController::do_refresh_at(DramTick now) {
 
 void DramController::skip_idle(DramTick from, std::uint64_t ticks) {
   assert(idle());
-  read_q_occ_.add_repeated(0.0, ticks);
   if (!cfg_.enable_refresh) return;
   // Per-tick stepping calls maybe_refresh at each tick in (from, from+ticks];
   // next_refresh_ > from holds at entry (the channel was ticked at `from`),
@@ -187,8 +186,6 @@ void DramController::tick(DramTick now, std::vector<DramCompletion>& done) {
     done.push_back(inflight_reads_.front());
     inflight_reads_.pop_front();
   }
-
-  read_q_occ_.add(static_cast<double>(read_q_.size()));
 
   if (maybe_refresh(now)) return;
 

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/config.hpp"
-#include "common/math_util.hpp"
 #include "common/stats.hpp"
 #include "dram/bank.hpp"
 #include "dram/timing.hpp"
@@ -77,8 +76,8 @@ class DramController {
   }
 
   /// Bulk-advances an idle channel by `ticks` DRAM ticks starting after
-  /// `from`: samples queue occupancy (zero) and fires any refreshes that
-  /// fall in the window, exactly as per-tick stepping would. Precondition:
+  /// `from`: fires any refreshes that fall in the window, exactly as
+  /// per-tick stepping would. Precondition:
   /// idle(). (The write-drain hysteresis needs no bulk handling - every
   /// real tick recomputes it from the queue occupancy before using it.)
   void skip_idle(DramTick from, std::uint64_t ticks);
@@ -98,8 +97,6 @@ class DramController {
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
   [[nodiscard]] StatSet stats() const;
-  /// Time-weighted average read-queue occupancy.
-  [[nodiscard]] double avg_read_q() const { return read_q_occ_.mean(); }
 
  private:
   struct Entry {
@@ -172,7 +169,6 @@ class DramController {
   std::uint32_t refresh_rank_rr_ = 0;
 
   Counters counters_;
-  OccupancyAverage read_q_occ_;
 };
 
 }  // namespace llamcat

@@ -146,9 +146,9 @@ void System::deliver_slice_requests() {
   for (std::size_t i = ingress.next(0); i != DynBitset::npos;
        i = ingress.next(i + 1)) {
     const auto s = static_cast<std::uint32_t>(i);
-    while (slices_[s]->can_accept_request()) {
+    for (;;) {
       const MemRequest* req = net_.peek_request(s, cycle_);
-      if (req == nullptr) break;
+      if (req == nullptr || !slices_[s]->can_accept_request()) break;
       if (slices_[s]->asleep()) wake_slice(s, cycle_ - 1);
       slices_[s]->push_request(*req, cycle_);
       net_.pop_request(s);

@@ -183,6 +183,14 @@ TEST(Config, ValidationCatchesBadGeometry) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg.llc.size_bytes = 4ull << 20;
   EXPECT_NO_THROW(cfg.validate());
+  // The set count divides by assoc, so a zero assoc is rejected before it
+  // (it used to raise SIGFPE).
+  cfg = SimConfig::table5();
+  cfg.llc.assoc = 0;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg = SimConfig::table5();
+  cfg.l1.assoc = 0;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
   // NaN fails the range check instead of slipping past both comparisons.
   for (const double p : {std::numeric_limits<double>::quiet_NaN(), -0.1, 1.1}) {
     cfg = SimConfig::table5();

@@ -1,13 +1,16 @@
-// Replacement/insertion policy tests: SRRIP and FIFO semantics, plus
+// Replacement/insertion policy tests: SRRIP and FIFO semantics,
 // cross-policy invariants swept over the full (replacement x insertion)
-// matrix with TEST_P.
+// matrix with TEST_P, and the compact CacheArray layout checked against a
+// 64-bit-stamp reference model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <vector>
 
 #include "cache/cache_array.hpp"
+#include "common/rng.hpp"
 
 namespace llamcat {
 namespace {
@@ -192,16 +195,230 @@ TEST_P(ReplacementMatrix, SetContentsMatchFills) {
   EXPECT_EQ(std::set<Addr>(contents.begin(), contents.end()), expected);
 }
 
+// ------------------------------------------- compact layout differential --
+
+/// The replacement semantics with a 16-byte record and a 64-bit stamp per
+/// line, a never-wrapping clock, and tree-PLRU bits for every policy: the
+/// reference the 12-byte CacheArray must match call for call.
+class ReferenceArray {
+ public:
+  ReferenceArray(std::uint32_t num_sets, std::uint32_t assoc, ReplPolicy repl,
+                 InsertPolicy insert, std::uint64_t seed)
+      : assoc_(assoc),
+        repl_(repl),
+        insert_(insert),
+        lines_(static_cast<std::size_t>(num_sets) * assoc),
+        plru_(num_sets, 0),
+        rng_(seed) {}
+
+  bool probe(std::uint32_t set, Addr a) const { return find(set, a) != assoc_; }
+
+  bool touch(std::uint32_t set, Addr a) {
+    const std::uint32_t w = find(set, a);
+    if (w == assoc_) return false;
+    promote(set, w);
+    return true;
+  }
+
+  std::optional<CacheArray::Evicted> fill(std::uint32_t set, Addr a,
+                                          bool dirty) {
+    const std::uint32_t w = victim(set);
+    Line& l = line_at(set, w);
+    std::optional<CacheArray::Evicted> ev;
+    if (l.tag != kNoAddr) ev = CacheArray::Evicted{l.tag, l.dirty};
+    l.tag = a;
+    l.dirty = dirty;
+    if (repl_ == ReplPolicy::kFifo) {
+      l.stamp = ++tick_;
+    } else if (repl_ == ReplPolicy::kSrrip) {
+      l.rrpv = insert_ == InsertPolicy::kMru ? 2 : 3;
+    } else if (insert_ == InsertPolicy::kMru) {
+      promote(set, w);
+    } else {
+      l.stamp = 0;
+    }
+    return ev;
+  }
+
+  bool mark_dirty(std::uint32_t set, Addr a) {
+    const std::uint32_t w = find(set, a);
+    if (w == assoc_) return false;
+    line_at(set, w).dirty = true;
+    return true;
+  }
+
+  bool invalidate(std::uint32_t set, Addr a) {
+    const std::uint32_t w = find(set, a);
+    if (w == assoc_) return false;
+    line_at(set, w) = Line{};
+    return true;
+  }
+
+  std::uint8_t rrpv_of(std::uint32_t set, Addr a) const {
+    const std::uint32_t w = find(set, a);
+    return w != assoc_ && repl_ == ReplPolicy::kSrrip ? line_at(set, w).rrpv
+                                                      : 0;
+  }
+
+  std::vector<Addr> set_contents(std::uint32_t set) const {
+    std::vector<Addr> out;
+    for (std::uint32_t w = 0; w < assoc_; ++w) {
+      if (line_at(set, w).tag != kNoAddr) out.push_back(line_at(set, w).tag);
+    }
+    return out;
+  }
+
+ private:
+  struct Line {
+    Addr tag = kNoAddr;
+    bool dirty = false;
+    std::uint8_t rrpv = 0;
+    std::uint64_t stamp = 0;
+  };
+
+  Line& line_at(std::uint32_t set, std::uint32_t w) {
+    return lines_[static_cast<std::size_t>(set) * assoc_ + w];
+  }
+  const Line& line_at(std::uint32_t set, std::uint32_t w) const {
+    return lines_[static_cast<std::size_t>(set) * assoc_ + w];
+  }
+  std::uint32_t find(std::uint32_t set, Addr a) const {
+    std::uint32_t w = 0;
+    while (w < assoc_ && line_at(set, w).tag != a) ++w;
+    return w;
+  }
+
+  void promote(std::uint32_t set, std::uint32_t w) {
+    if (repl_ == ReplPolicy::kFifo) return;
+    line_at(set, w).stamp = ++tick_;
+    line_at(set, w).rrpv = 0;
+    // Tree-PLRU: point every node on the way's path away from it.
+    std::uint32_t node = 0, lo = 0, hi = assoc_;
+    while (hi - lo > 1) {
+      const std::uint32_t mid = lo + (hi - lo) / 2;
+      if (w >= mid) {
+        plru_[set] &= ~(1u << node);
+        lo = mid;
+        node = 2 * node + 2;
+      } else {
+        plru_[set] |= 1u << node;
+        hi = mid;
+        node = 2 * node + 1;
+      }
+    }
+  }
+
+  std::uint32_t victim(std::uint32_t set) {
+    const std::uint32_t free_way = find(set, kNoAddr);
+    if (free_way != assoc_) return free_way;
+    switch (repl_) {
+      case ReplPolicy::kLru:
+      case ReplPolicy::kFifo: {
+        std::uint32_t v = 0;
+        for (std::uint32_t w = 1; w < assoc_; ++w) {
+          if (line_at(set, w).stamp < line_at(set, v).stamp) v = w;
+        }
+        return v;
+      }
+      case ReplPolicy::kTreePlru: {
+        std::uint32_t node = 0, lo = 0, hi = assoc_;
+        while (hi - lo > 1) {
+          const std::uint32_t mid = lo + (hi - lo) / 2;
+          if ((plru_[set] >> node) & 1u) {
+            lo = mid;
+            node = 2 * node + 2;
+          } else {
+            hi = mid;
+            node = 2 * node + 1;
+          }
+        }
+        return lo;
+      }
+      case ReplPolicy::kRandom:
+        return static_cast<std::uint32_t>(rng_.below(assoc_));
+      case ReplPolicy::kSrrip:
+        for (;;) {
+          for (std::uint32_t w = 0; w < assoc_; ++w) {
+            if (line_at(set, w).rrpv == 3) return w;
+          }
+          for (std::uint32_t w = 0; w < assoc_; ++w) ++line_at(set, w).rrpv;
+        }
+    }
+    return 0;
+  }
+
+  std::uint32_t assoc_;
+  ReplPolicy repl_;
+  InsertPolicy insert_;
+  std::vector<Line> lines_;
+  std::vector<std::uint32_t> plru_;
+  std::uint64_t tick_ = 0;
+  Xoshiro256 rng_;
+};
+
+/// One seeded stream of probe/touch/fill/mark_dirty/invalidate calls into
+/// both arrays. The second clock start makes the compact array renormalise
+/// its stamps early in the stream; the reference never wraps.
+TEST_P(ReplacementMatrix, MatchesReferenceModel) {
+  const auto [repl, insert] = GetParam();
+  constexpr std::uint32_t kSets = 4;
+  constexpr std::uint32_t kAssoc = 8;
+  constexpr std::uint64_t kLinesPerSet = 20;
+  for (const std::uint32_t start : {0u, CacheArray::kMaxStamp - 40}) {
+    SCOPED_TRACE(start);
+    CacheArray a(kSets, kAssoc, repl, insert, /*seed=*/11);
+    ReferenceArray ref(kSets, kAssoc, repl, insert, /*seed=*/11);
+    a.set_stamp_clock(start);
+    Xoshiro256 rng(2024);
+    std::uint64_t evictions = 0;
+    for (int step = 0; step < 20000; ++step) {
+      const auto set = static_cast<std::uint32_t>(rng.below(kSets));
+      const Addr addr = line(set + kSets * rng.below(kLinesPerSet));
+      const std::uint64_t op = rng.below(100);
+      if (op < 40) {
+        ASSERT_EQ(a.touch(set, addr), ref.touch(set, addr)) << step;
+      } else if (op < 75) {
+        ASSERT_EQ(a.probe(set, addr), ref.probe(set, addr)) << step;
+        if (ref.probe(set, addr)) continue;
+        const bool dirty = rng.below(2) == 0;
+        const auto got = a.fill(set, addr, dirty);
+        const auto want = ref.fill(set, addr, dirty);
+        ASSERT_EQ(got.has_value(), want.has_value()) << step;
+        if (want) {
+          ++evictions;
+          ASSERT_EQ(got->line_addr, want->line_addr) << step;
+          ASSERT_EQ(got->dirty, want->dirty) << step;
+        }
+      } else if (op < 85) {
+        ASSERT_EQ(a.mark_dirty(set, addr), ref.mark_dirty(set, addr)) << step;
+      } else if (op < 92) {
+        ASSERT_EQ(a.invalidate(set, addr), ref.invalidate(set, addr)) << step;
+      } else {
+        ASSERT_EQ(a.rrpv_of(set, addr), ref.rrpv_of(set, addr)) << step;
+      }
+      ASSERT_EQ(a.set_contents(set), ref.set_contents(set)) << step;
+    }
+    EXPECT_GT(evictions, 1000u);  // the stream exercised the victim choice
+    if (start != 0 &&
+        (repl == ReplPolicy::kLru || repl == ReplPolicy::kFifo)) {
+      EXPECT_LT(a.stamp_clock(), start) << "the clock never wrapped";
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, ReplacementMatrix,
     ::testing::Values(
         PolicyCase{ReplPolicy::kLru, InsertPolicy::kMru},
         PolicyCase{ReplPolicy::kLru, InsertPolicy::kStreaming},
         PolicyCase{ReplPolicy::kTreePlru, InsertPolicy::kMru},
+        PolicyCase{ReplPolicy::kTreePlru, InsertPolicy::kStreaming},
         PolicyCase{ReplPolicy::kRandom, InsertPolicy::kMru},
+        PolicyCase{ReplPolicy::kRandom, InsertPolicy::kStreaming},
         PolicyCase{ReplPolicy::kSrrip, InsertPolicy::kMru},
         PolicyCase{ReplPolicy::kSrrip, InsertPolicy::kStreaming},
-        PolicyCase{ReplPolicy::kFifo, InsertPolicy::kMru}),
+        PolicyCase{ReplPolicy::kFifo, InsertPolicy::kMru},
+        PolicyCase{ReplPolicy::kFifo, InsertPolicy::kStreaming}),
     [](const ::testing::TestParamInfo<PolicyCase>& info) {
       std::string name =
           to_string(info.param.repl) + "_" + to_string(info.param.insert);
@@ -224,6 +441,68 @@ TEST(RandomRepl, DeterministicPerSeed) {
   };
   EXPECT_EQ(run(42), run(42));
   EXPECT_NE(run(42), run(43));
+}
+
+/// Crossing kMaxStamp renormalises every set to dense ranks; the LRU order
+/// of lines stamped before and after the wrap is unchanged.
+TEST(CacheArrayLayout, ClockWrapKeepsVictimOrder) {
+  CacheArray a(2, 4, ReplPolicy::kLru, InsertPolicy::kMru);
+  a.set_stamp_clock(CacheArray::kMaxStamp - 6);
+  for (std::uint64_t i = 0; i < 4; ++i) a.fill(0, line(i), false);
+  a.fill(1, line(10), true);
+  a.touch(0, line(1));  // the clock reaches kMaxStamp
+  EXPECT_EQ(a.stamp_clock(), CacheArray::kMaxStamp);
+  a.touch(0, line(2));  // renormalises, then stamps past the ranks
+  EXPECT_EQ(a.stamp_clock(), 4u + 1u);  // ranks end at assoc
+  // LRU -> MRU: 0, 3, 1, 2. MRU fills evict in exactly that order.
+  std::vector<Addr> victims;
+  for (std::uint64_t i = 100; i < 104; ++i) {
+    const auto ev = a.fill(0, line(i), false);
+    ASSERT_TRUE(ev.has_value());
+    EXPECT_FALSE(ev->dirty);
+    victims.push_back(ev->line_addr);
+  }
+  EXPECT_EQ(victims, (std::vector<Addr>{line(0), line(3), line(1), line(2)}));
+  // The other set's line kept its dirty bit through the renormalisation.
+  for (std::uint64_t i = 20; i < 23; ++i) a.fill(1, line(i), false);
+  const auto ev = a.fill(1, line(30), false);
+  ASSERT_TRUE(ev.has_value());
+  EXPECT_EQ(ev->line_addr, line(10));
+  EXPECT_TRUE(ev->dirty);
+}
+
+/// The streaming-insert stamp 0 survives the wrap: a line inserted before
+/// it ties with one inserted after it, and the lower way goes first.
+TEST(CacheArrayLayout, ClockWrapKeepsStreamingStampZero) {
+  CacheArray a(1, 4, ReplPolicy::kLru, InsertPolicy::kStreaming);
+  a.set_stamp_clock(CacheArray::kMaxStamp - 2);
+  for (std::uint64_t i = 0; i < 4; ++i) a.fill(0, line(i), false);  // stamp 0
+  a.touch(0, line(1));
+  a.touch(0, line(3));  // the clock reaches kMaxStamp
+  a.invalidate(0, line(2));
+  a.touch(0, line(1));  // renormalises
+  EXPECT_LT(a.stamp_clock(), 8u);
+  a.fill(0, line(20), false);  // the free way 2, stamp 0
+  const auto ev = a.fill(0, line(21), false);
+  ASSERT_TRUE(ev.has_value());
+  EXPECT_EQ(ev->line_addr, line(0));  // way 0 before way 2
+}
+
+/// Footprint guard: a line costs its 8-byte tag and one 32-bit replacement
+/// word; tree-PLRU adds 4 bytes per set. The 64 bytes cover the padding
+/// that aligns the tag array to a cache line.
+TEST(CacheArrayLayout, TwelveBytesPerLine) {
+  constexpr std::uint32_t kSets = 1024;
+  constexpr std::uint32_t kAssoc = 16;
+  constexpr std::size_t kLines = std::size_t{kSets} * kAssoc;
+  for (const ReplPolicy repl : {ReplPolicy::kLru, ReplPolicy::kFifo,
+                                ReplPolicy::kRandom, ReplPolicy::kSrrip}) {
+    const CacheArray a(kSets, kAssoc, repl, InsertPolicy::kMru);
+    EXPECT_LE(a.heap_bytes(), 12 * kLines + 64) << to_string(repl);
+  }
+  const CacheArray plru(kSets, kAssoc, ReplPolicy::kTreePlru,
+                        InsertPolicy::kMru);
+  EXPECT_LE(plru.heap_bytes(), 12 * kLines + 4 * kSets + 64);
 }
 
 }  // namespace
