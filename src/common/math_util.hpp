@@ -47,23 +47,19 @@ class ClockDivider {
     assert(numer_ > 0 && denom_ > 0 && numer_ <= denom_);
   }
 
-  /// Advances one fast-clock tick; returns how many slow-clock ticks elapse
-  /// (0 or 1 given numer <= denom).
-  std::uint32_t advance() {
-    acc_ += numer_;
-    if (acc_ >= denom_) {
+  /// Advances `n` fast-clock ticks; returns how many slow-clock ticks
+  /// elapse (at most one per fast tick, given numer <= denom). A single
+  /// tick, once per stepped cycle, needs no division.
+  std::uint64_t advance(std::uint64_t n) {
+    acc_ += n * numer_;
+    if (acc_ < denom_) return 0;
+    if (n == 1) {
       acc_ -= denom_;
       return 1;
     }
-    return 0;
-  }
-
-  /// Advances `n` fast-clock ticks at once; returns how many slow-clock
-  /// ticks elapse. Exact closed form of calling advance() `n` times.
-  std::uint64_t advance_bulk(std::uint64_t n) {
-    const std::uint64_t total = acc_ + n * numer_;
-    acc_ = total % denom_;
-    return total / denom_;
+    const std::uint64_t ticks = acc_ / denom_;
+    acc_ %= denom_;
+    return ticks;
   }
 
   void reset() { acc_ = 0; }

@@ -13,6 +13,7 @@ namespace llamcat {
 
 /// DRAM-clock timestamp.
 using DramTick = std::uint64_t;
+inline constexpr DramTick kNeverTick = ~DramTick{0};
 
 /// One DRAM bank: open row + per-command earliest issue times.
 class Bank {

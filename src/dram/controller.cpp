@@ -14,7 +14,7 @@ DramController::DramController(const DramConfig& cfg, const DramTiming& timing,
   banks_.resize(nbanks);
   bankgroups_.resize(cfg_.ranks_per_channel * cfg_.bankgroups_per_rank);
   ranks_.resize(cfg_.ranks_per_channel);
-  next_refresh_ = timing_.tREFI;
+  if (cfg_.enable_refresh) next_refresh_ = timing_.tREFI;
   read_q_.reserve(cfg_.read_q_size);
   write_q_.reserve(cfg_.write_q_size);
 }
@@ -28,9 +28,8 @@ void DramController::enqueue(const DramRequest& r, DramTick now) {
   e.arrival = now;
   quiet_until_ = 0;
   if (r.is_write) {
-    // Forward any pending read to the same line first? Reads probe the write
-    // queue at enqueue time instead (simpler and equivalent here because the
-    // LLC never issues a read while a write-back to the same line is queued).
+    // No forwarding either way: a read of a line whose write-back is still
+    // queued is scheduled like any other read, from DRAM.
     write_q_.push_back(e);
     ++counters_.writes_enq;
   } else {
@@ -40,7 +39,6 @@ void DramController::enqueue(const DramRequest& r, DramTick now) {
 }
 
 bool DramController::maybe_refresh(DramTick now) {
-  if (!cfg_.enable_refresh) return false;
   if (now < next_refresh_) return false;
   do_refresh_at(now);
   return true;
@@ -60,18 +58,6 @@ void DramController::do_refresh_at(DramTick now) {
   ranks_[rank].begin_refresh(now, now + timing_.tRFC);
   ++counters_.refreshes;
   quiet_until_ = 0;
-}
-
-void DramController::skip_idle(DramTick from, std::uint64_t ticks) {
-  assert(idle());
-  if (!cfg_.enable_refresh) return;
-  // Per-tick stepping calls maybe_refresh at each tick in (from, from+ticks];
-  // next_refresh_ > from holds at entry (the channel was ticked at `from`),
-  // so each refresh in the window fires at exactly its scheduled tick.
-  const DramTick end = from + ticks;
-  while (next_refresh_ <= end) {
-    do_refresh_at(std::max(next_refresh_, from + 1));
-  }
 }
 
 DramTick DramController::ready_at(const Entry& e, bool is_write) const {
@@ -188,10 +174,15 @@ void DramController::tick(DramTick now, std::vector<DramCompletion>& done) {
   }
 
   if (maybe_refresh(now)) return;
+  // Due for a delivery only: nothing changed readiness since a tick at
+  // which no queued entry could issue, and none can before quiet_until_.
+  if (now < quiet_until_) return;
 
   if (read_q_.empty() && write_q_.empty()) {
-    // Nothing to schedule; the hysteresis below would see occ == 0.
+    // Nothing to schedule; the hysteresis below would see occ == 0. Quiet
+    // until an enqueue, so this tick runs once after the queues drain.
     draining_writes_ = false;
+    quiet_until_ = kNeverTick;
     return;
   }
 
@@ -204,11 +195,7 @@ void DramController::tick(DramTick now, std::vector<DramCompletion>& done) {
       (occ <= cfg_.write_drain_low || write_q_.empty()))
     draining_writes_ = false;
 
-  // Quiet-until gate: nothing changed readiness since a tick at which no
-  // entry of either queue could issue, and none can before quiet_until_.
-  if (now < quiet_until_) return;
-
-  DramTick next_ready = ~DramTick{0};
+  DramTick next_ready = kNeverTick;
   const bool prefer_writes = draining_writes_ || read_q_.empty();
   const bool issued =
       prefer_writes

@@ -49,8 +49,21 @@ class DramController {
   /// Precondition: can_accept(r).
   void enqueue(const DramRequest& r, DramTick now);
 
-  /// Advances one DRAM cycle; completed reads are appended to `done`.
+  /// Runs DRAM tick `now`; completed reads are appended to `done`. Only
+  /// ticks at or after next_event() need to run.
   void tick(DramTick now, std::vector<DramCompletion>& done);
+
+  /// The earliest tick at which tick() does anything: the in-flight read
+  /// front's finish, the next refresh, or the quiet-until tick (0, due at
+  /// once, after an enqueue, an issued command or a refresh). Every tick
+  /// before it would change nothing.
+  [[nodiscard]] DramTick next_event() const {
+    DramTick t = std::min(quiet_until_, next_refresh_);
+    if (!inflight_reads_.empty()) {
+      t = std::min(t, inflight_reads_.front().finish_tick);
+    }
+    return t;
+  }
 
   [[nodiscard]] bool idle() const {
     return read_q_.empty() && write_q_.empty() && inflight_reads_.empty();
@@ -65,22 +78,15 @@ class DramController {
   /// Conservative earliest DRAM tick at which this channel could deliver a
   /// read completion: the minimum in-flight finish tick, lower-bounded for
   /// queued reads by an issue at tick now+1 plus the fixed data latency.
-  /// Returns DramTick max when there is no read work.
+  /// Returns kNeverTick when there is no read work.
   [[nodiscard]] DramTick next_read_event(DramTick now) const {
-    DramTick f = ~DramTick{0};
+    DramTick f = kNeverTick;
     if (!inflight_reads_.empty()) f = inflight_reads_.front().finish_tick;
     if (!read_q_.empty()) {
       f = std::min(f, now + 1 + timing_.read_latency() + cfg_.ctrl_latency);
     }
     return f;
   }
-
-  /// Bulk-advances an idle channel by `ticks` DRAM ticks starting after
-  /// `from`: fires any refreshes that fall in the window, exactly as
-  /// per-tick stepping would. Precondition:
-  /// idle(). (The write-drain hysteresis needs no bulk handling - every
-  /// real tick recomputes it from the queue occupancy before using it.)
-  void skip_idle(DramTick from, std::uint64_t ticks);
 
   /// Hot-path counters (plain fields; converted to a StatSet on demand).
   struct Counters {
@@ -160,12 +166,13 @@ class DramController {
   // delivery and next_read_event only ever look at the front.
   std::deque<DramCompletion> inflight_reads_;
   bool draining_writes_ = false;
-  // Quiet-until gate: after a tick that issued nothing, the earliest tick
-  // at which any queued entry can issue. Ticks before it skip the
-  // scheduler scans. Zero (no gate) after an enqueue, an issued command or
-  // a refresh - the only events that change readiness.
-  DramTick quiet_until_ = 0;
-  DramTick next_refresh_ = 0;
+  // After a tick that issued nothing, the earliest tick at which any
+  // queued entry can issue; kNeverTick once the queues are empty and the
+  // write-drain hysteresis is cleared. Zero after an enqueue, an issued
+  // command or a refresh - the only events that change readiness or the
+  // queue occupancy the hysteresis reads.
+  DramTick quiet_until_ = kNeverTick;
+  DramTick next_refresh_ = kNeverTick;  // kNeverTick without refresh
   std::uint32_t refresh_rank_rr_ = 0;
 
   Counters counters_;

@@ -1,5 +1,6 @@
 #include "dram/dram_system.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -42,11 +43,19 @@ void DramSystem::enqueue(const DramRequest& r) {
   channels_[channel_of(r.line_addr)]->enqueue(r, now_);
 }
 
-void DramSystem::tick_core_cycle() {
-  if (divider_.advance() == 0) return;
-  ++now_;
+void DramSystem::advance(std::uint64_t core_cycles) {
+  const DramTick end = now_ + divider_.advance(core_cycles);
+  if (end == now_) return;
   done_buf_.clear();
-  for (auto& ch : channels_) ch->tick(now_, done_buf_);
+  for (auto& ch : channels_) {
+    for (DramTick t = std::max(now_ + 1, ch->next_event()); t <= end;
+         t = std::max(t + 1, ch->next_event())) {
+      ch->tick(t, done_buf_);
+    }
+  }
+  now_ = end;
+  assert((core_cycles == 1 || done_buf_.empty()) &&
+         "a read completed inside a skip window");
   if (on_read_complete) {
     for (const auto& d : done_buf_) on_read_complete(d);
   }

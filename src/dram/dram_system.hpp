@@ -30,9 +30,12 @@ class DramSystem {
   /// Precondition: can_accept(r).
   void enqueue(const DramRequest& r);
 
-  /// Advances the DRAM domain by one *core* cycle (49:40 divider for the
-  /// Table 5 clocks) and invokes `on_read_complete` for finished reads.
-  void tick_core_cycle();
+  /// Advances the DRAM domain by `core_cycles` core cycles (49:40 divider
+  /// for the Table 5 clocks), ticking each channel only at its
+  /// next_event(), and invokes `on_read_complete` for finished reads. An
+  /// advance of more than one cycle is a skip window: no read may complete
+  /// inside it (see next_read_event).
+  void advance(std::uint64_t core_cycles);
 
   std::function<void(const DramCompletion&)> on_read_complete;
 
@@ -48,26 +51,15 @@ class DramSystem {
     return false;
   }
   /// Conservative earliest DRAM tick at which any channel could deliver a
-  /// read completion (DramTick max when no read work exists). The DRAM
+  /// read completion (kNeverTick when no read work exists). The DRAM
   /// domain advances at most one tick per core cycle, so completions
   /// cannot fire before core cycle now + (next_read_event() - now()).
   [[nodiscard]] DramTick next_read_event() const {
-    DramTick f = ~DramTick{0};
+    DramTick f = kNeverTick;
     for (const auto& ch : channels_) {
       f = std::min(f, ch->next_read_event(now_));
     }
     return f;
-  }
-
-  /// Bulk-advances a fully idle DRAM system by `core_cycles` core cycles:
-  /// the clock divider moves in closed form and each channel replays only
-  /// its refresh landmarks. Exactly equivalent to core_cycles calls of
-  /// tick_core_cycle() when idle() (no completions can fire).
-  void skip_idle_cycles(std::uint64_t core_cycles) {
-    const std::uint64_t ticks = divider_.advance_bulk(core_cycles);
-    if (ticks == 0) return;
-    for (auto& ch : channels_) ch->skip_idle(now_, ticks);
-    now_ += ticks;
   }
 
   /// Aggregated stats across channels, plus derived bandwidth numbers.

@@ -38,13 +38,13 @@ LlcSlice::LlcSlice(const LlcConfig& cfg, const ArbConfig& arb_cfg,
 void LlcSlice::push_request(const MemRequest& req, Cycle now) {
   assert(can_accept_request());
   assert(map_.slice_of(req.line_addr) == slice_id_);
-  assert(!asleep_ && "ingress wakes the slice first");
+  assert(!asleep() && "ingress wakes the slice first");
   arbiter_.enqueue(req_q_, req, now, mshr_);
   ++counters_.requests_in;
 }
 
 void LlcSlice::on_dram_fill(Addr line_addr) {
-  assert(!asleep_ && "a fill wakes the slice first");
+  assert(!asleep() && "a fill wakes the slice first");
   pending_fills_.push_back(line_addr);
 }
 
@@ -283,8 +283,8 @@ void LlcSlice::tick(Cycle now, DramSystem& dram) {
   }
 }
 
-LlcSlice::WaitProfile LlcSlice::wait_profile(Cycle now) const {
-  WaitProfile p;
+SliceWaitProfile LlcSlice::wait_profile(Cycle now) const {
+  SliceWaitProfile p;
   // Any of these makes progress unconditionally at the next tick: fills
   // are processed (or stall into a non-empty resp_q_, which both arbiter
   // policies then serve), responses install, writebacks retry against a
@@ -358,24 +358,13 @@ LlcSlice::WaitProfile LlcSlice::wait_profile(Cycle now) const {
   return p;
 }
 
-void LlcSlice::sleep(const WaitProfile& p, Cycle from) {
-  assert(!p.busy && !asleep_);
-  asleep_ = true;
-  owed_from_ = from;
-  owed_ = p;
-}
-
-void LlcSlice::settle(Cycle through) {
-  if (!asleep_) return;
-  assert(through + 1 >= owed_from_);
-  const std::uint64_t cycles = through + 1 - owed_from_;
-  owed_from_ = through + 1;
+void LlcSlice::apply_owed(const SliceWaitProfile& p, std::uint64_t cycles) {
   // Per-tick occupancy sampling, collapsed (occupancy is frozen).
   mshr_.sample_occupancy(cycles);
-  if (owed_.stall_target) counters_.stall_target += cycles;
-  if (owed_.stall_entry) counters_.stall_entry += cycles;
-  if (owed_.lookup_backpressure) counters_.lookup_backpressure += cycles;
-  if (owed_.stall_target || owed_.stall_entry || owed_.lookup_backpressure) {
+  if (p.stall_target) counters_.stall_target += cycles;
+  if (p.stall_entry) counters_.stall_entry += cycles;
+  if (p.lookup_backpressure) counters_.lookup_backpressure += cycles;
+  if (p.stall_target || p.stall_entry || p.lookup_backpressure) {
     stall_cycles_ += cycles;
   }
 }

@@ -16,6 +16,7 @@
 #include "cache/cache_array.hpp"
 #include "cache/mshr.hpp"
 #include "common/config.hpp"
+#include "common/sleeper.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "core/arbitration.hpp"
@@ -55,7 +56,19 @@ class SliceMap {
   std::uint32_t shift_;  // low set bits kept inside the slice
 };
 
-class LlcSlice {
+/// `busy` = observable progress at cycle now+1. Otherwise the slice is
+/// frozen until `next_event` (pipeline-head maturity / response release;
+/// kNeverCycle when only ingress or a fill wakes it), and each frozen cycle
+/// accrues exactly the recorded stall deltas.
+struct SliceWaitProfile {
+  bool busy = false;
+  Cycle next_event = kNeverCycle;
+  bool stall_target = false;         // numTarget exhaustion per cycle
+  bool stall_entry = false;          // numEntry exhaustion per cycle
+  bool lookup_backpressure = false;  // miss into a full probe stage
+};
+
+class LlcSlice : public Sleeper<LlcSlice, SliceWaitProfile> {
  public:
   LlcSlice(const LlcConfig& cfg, const ArbConfig& arb_cfg,
            std::uint32_t slice_id, std::uint32_t num_cores,
@@ -123,44 +136,13 @@ class LlcSlice {
 
   // ---- skip-ahead and lazy settlement ---------------------------------------
   /// What the slice would do over the coming cycles if its inputs stay
-  /// frozen (no new requests, no DRAM fills). `busy` = observable progress
-  /// at cycle now+1. Otherwise the slice is frozen until `next_event`
-  /// (pipeline-head maturity / response release), and each frozen cycle
-  /// accrues exactly the recorded stall deltas.
-  struct WaitProfile {
-    bool busy = false;
-    Cycle next_event = kNeverCycle;
-    bool stall_target = false;         // numTarget exhaustion per cycle
-    bool stall_entry = false;          // numEntry exhaustion per cycle
-    bool lookup_backpressure = false;  // miss into a full probe stage
-  };
-  [[nodiscard]] WaitProfile wait_profile(Cycle now) const;
-
-  /// Puts the slice to sleep from cycle `from` on (`p` not busy): the
-  /// System stops ticking it, and every cycle from `from` on is owed as
-  /// one frozen cycle of `p`. While asleep no out-response is ready, so
+  /// frozen (no new requests, no DRAM fills); the profile a sleeping slice
+  /// owes per cycle (Sleeper). While asleep no out-response is ready, so
   /// drain_responses has nothing to do either.
-  void sleep(const WaitProfile& p, Cycle from);
-  /// Bulk-accounts the frozen cycles owed up to and including `through`
-  /// (byte-identical to ticking the frozen slice that often); the slice
-  /// stays asleep. A no-op on an awake slice.
-  void settle(Cycle through);
-  /// settle(through), then leave sleep: the next tick is a full one.
-  void wake(Cycle through) {
-    settle(through);
-    asleep_ = false;
-  }
-  [[nodiscard]] bool asleep() const { return asleep_; }
-  /// The cycle a sleeping slice must tick again by itself (kNeverCycle:
-  /// only ingress or a fill wakes it).
-  [[nodiscard]] Cycle wake_cycle() const { return owed_.next_event; }
+  [[nodiscard]] SliceWaitProfile wait_profile(Cycle now) const;
 
   // ---- introspection ----------------------------------------------------------
   [[nodiscard]] bool drained() const;
-  /// DRAM fills delivered but not yet processed (skip-ahead debug checks).
-  [[nodiscard]] std::size_t fills_pending() const {
-    return pending_fills_.size();
-  }
   [[nodiscard]] const Counters& counters() const { return counters_; }
   /// Indexed by dense request index; empty when no tagger is set.
   [[nodiscard]] const std::vector<ReqCounters>& request_counters() const {
@@ -206,6 +188,11 @@ class LlcSlice {
     bool operator>(const OutResp& o) const { return ready > o.ready; }
   };
 
+  friend class Sleeper<LlcSlice, SliceWaitProfile>;
+  /// arbiter_.on_cycle is not replayed: it is a pure expiry that nothing
+  /// reads until the wake tick runs it.
+  void apply_owed(const SliceWaitProfile& p, std::uint64_t cycles);
+
   /// Per-request counters for the owner of `line_addr`, or nullptr when
   /// untagged (no tagger, or address outside every registered slot).
   [[nodiscard]] ReqCounters* req_counters_of(Addr line_addr);
@@ -235,13 +222,6 @@ class LlcSlice {
   std::priority_queue<OutResp, std::vector<OutResp>, std::greater<>>
       out_resp_;
   std::vector<MshrTarget> fill_targets_;  // process_fills scratch
-
-  // Sleep state (see sleep): the profile owed for each cycle from
-  // owed_from_ on. arbiter_.on_cycle is not replayed: it is a pure expiry
-  // that nothing reads until the wake tick runs it.
-  bool asleep_ = false;
-  Cycle owed_from_ = 0;
-  WaitProfile owed_;
 
   bool stalled_this_cycle_ = false;
   bool mshr_resource_stall_ = false;  // freezes lookup+arbiter this cycle

@@ -1,7 +1,6 @@
 #include "sim/system.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -39,10 +38,9 @@ System::System(const SimConfig& cfg, const ITbSource& source,
         cfg_.llc, cfg_.arb, s, cfg_.core.num_cores, cfg_.seed + 1000 + s));
     slices_.back()->set_tagger(tagger_);
   }
-  awake_cores_ = DynBitset(cores_.size());
-  awake_cores_.set_all();
-  awake_slices_ = DynBitset(slices_.size());
-  awake_slices_.set_all();
+  awake_ = DynBitset(cores_.size() + slices_.size());
+  awake_.set_all();
+  alarm_at_.assign(cores_.size() + slices_.size(), kNeverCycle);
   out_slice_.assign(cores_.size(), kNoSlice);
   waiting_.assign(slices_.size(), DynBitset(cores_.size()));
   n_waiting_.assign(slices_.size(), 0);
@@ -51,7 +49,7 @@ System::System(const SimConfig& cfg, const ITbSource& source,
   dram_.on_read_complete = [this](const DramCompletion& d) {
     // Fills land after the slice sweep: a sleeper counts this cycle as
     // frozen and ticks again from the next one.
-    if (slices_[d.payload]->asleep()) wake_slice(d.payload, cycle_);
+    wake(slice_unit(static_cast<std::uint32_t>(d.payload)), cycle_);
     slices_[d.payload]->on_dram_fill(d.line_addr);
   };
 }
@@ -59,7 +57,7 @@ System::System(const SimConfig& cfg, const ITbSource& source,
 void System::deliver_responses() {
   while (const MemResponse* r = net_.peek_response(cycle_)) {
     const std::uint32_t c = r->core;
-    if (cores_[c]->asleep()) wake_core(c, cycle_ - 1);
+    wake(c, cycle_ - 1);
     cores_[c]->on_load_fill(r->line_addr);
     net_.pop_response();
   }
@@ -67,16 +65,13 @@ void System::deliver_responses() {
 
 void System::tick_cores() {
   // Ascending index: the dispatch order of thread blocks depends on it.
-  for (std::size_t i = awake_cores_.next(0); i != DynBitset::npos;
-       i = awake_cores_.next(i + 1)) {
+  for (std::size_t i = awake_.next(0); i < cores_.size();
+       i = awake_.next(i + 1)) {
     const auto c = static_cast<std::uint32_t>(i);
     VectorCore& core = *cores_[c];
     const bool quiet = core.tick(cycle_);
     if (!quiet) track_outgoing(c);  // only an issue queues a request
-    if (quiet && cfg_.fast_path) {
-      const VectorCore::WaitProfile p = core.wait_profile(cycle_);
-      if (!p.busy) sleep_core(c, p);
-    }
+    if (quiet && cfg_.fast_path) try_sleep(c, core);
   }
 }
 
@@ -127,7 +122,7 @@ void System::inject_core_traffic() {
     core.pop_outgoing();
     // A drained store can unblock a store-blocked window; the drain lands
     // after the core sweep, so a sleeper spent this cycle frozen.
-    if (out->type == AccessType::kStore && core.asleep()) wake_core(c, cycle_);
+    if (out->type == AccessType::kStore) wake(c, cycle_);
     track_outgoing(c);
   };
   const std::size_t start = cycle_ % cores_.size();
@@ -149,7 +144,7 @@ void System::deliver_slice_requests() {
     for (;;) {
       const MemRequest* req = net_.peek_request(s, cycle_);
       if (req == nullptr || !slices_[s]->can_accept_request()) break;
-      if (slices_[s]->asleep()) wake_slice(s, cycle_ - 1);
+      wake(slice_unit(s), cycle_ - 1);
       slices_[s]->push_request(*req, cycle_);
       net_.pop_request(s);
     }
@@ -157,75 +152,57 @@ void System::deliver_slice_requests() {
 }
 
 void System::tick_slices() {
-  for (std::size_t i = awake_slices_.next(0); i != DynBitset::npos;
-       i = awake_slices_.next(i + 1)) {
-    const auto s = static_cast<std::uint32_t>(i);
-    LlcSlice& slice = *slices_[s];
+  for (std::size_t i = awake_.next(cores_.size()); i != DynBitset::npos;
+       i = awake_.next(i + 1)) {
+    LlcSlice& slice = *slices_[i - cores_.size()];
     slice.tick(cycle_, dram_);
     resp_scratch_.clear();
     slice.drain_responses(cycle_, resp_scratch_);
     for (const MemResponse& r : resp_scratch_) {
       net_.send_response(r, cycle_);
     }
-    if (cfg_.fast_path) {
-      const LlcSlice::WaitProfile p = slice.wait_profile(cycle_);
-      if (!p.busy) sleep_slice(s, p);
-    }
+    if (cfg_.fast_path) try_sleep(static_cast<std::uint32_t>(i), slice);
   }
 }
 
-void System::sleep_core(std::uint32_t c, const VectorCore::WaitProfile& p) {
-  cores_[c]->sleep(p, cycle_ + 1);
-  awake_cores_.reset(c);
-  if (p.next_event != kNeverCycle) alarms_.push(Alarm{p.next_event, c});
+template <class Component>
+bool System::try_sleep(std::uint32_t unit, Component& c) {
+  const auto p = c.wait_profile(cycle_);
+  if (p.busy) return false;
+  c.sleep(p, cycle_ + 1);
+  awake_.reset(unit);
+  alarm_at_[unit] = p.next_event;
+  if (p.next_event != kNeverCycle) alarms_.push(Alarm{p.next_event, unit});
+  return true;
 }
 
-void System::sleep_slice(std::uint32_t s, const LlcSlice::WaitProfile& p) {
-  slices_[s]->sleep(p, cycle_ + 1);
-  awake_slices_.reset(s);
-  if (p.next_event != kNeverCycle) {
-    alarms_.push(
-        Alarm{p.next_event, static_cast<std::uint32_t>(cores_.size()) + s});
+void System::wake(std::uint32_t unit, Cycle through) {
+  if (awake_.test(unit)) return;
+  if (unit < cores_.size()) {
+    cores_[unit]->wake(through);
+  } else {
+    slices_[unit - cores_.size()]->wake(through);
   }
-}
-
-void System::wake_core(std::uint32_t c, Cycle through) {
-  cores_[c]->wake(through);
-  awake_cores_.set(c);
-}
-
-void System::wake_slice(std::uint32_t s, Cycle through) {
-  slices_[s]->wake(through);
-  awake_slices_.set(s);
+  awake_.set(unit);
+  alarm_at_[unit] = kNeverCycle;
 }
 
 Cycle System::next_alarm() {
-  const auto nc = static_cast<std::uint32_t>(cores_.size());
   while (!alarms_.empty()) {
     const Alarm a = alarms_.top();
-    const bool live =
-        a.unit < nc
-            ? cores_[a.unit]->asleep() && cores_[a.unit]->wake_cycle() == a.at
-            : slices_[a.unit - nc]->asleep() &&
-                  slices_[a.unit - nc]->wake_cycle() == a.at;
-    if (live) return a.at;
+    if (alarm_at_[a.unit] == a.at) return a.at;
     alarms_.pop();
   }
   return kNeverCycle;
 }
 
 void System::ring_alarms() {
-  const auto nc = static_cast<std::uint32_t>(cores_.size());
   while (next_alarm() <= cycle_) {
     // A skip never passes a live alarm, so this one is due now: the
     // sleeper ticks this cycle.
     const Alarm a = alarms_.top();
     alarms_.pop();
-    if (a.unit < nc) {
-      wake_core(a.unit, cycle_ - 1);
-    } else {
-      wake_slice(a.unit - nc, cycle_ - 1);
-    }
+    wake(a.unit, cycle_ - 1);
   }
 }
 
@@ -284,7 +261,7 @@ void System::sample_throttling() {
     core.set_max_tb(throttle_->max_tb(core.id()));
     // A raised cap can enable a fetch; this cycle already counted as
     // frozen for a sleeper.
-    if (core.max_tb() != before && core.asleep()) wake_core(c, cycle_);
+    if (core.max_tb() != before) wake(c, cycle_);
   }
 }
 
@@ -296,7 +273,7 @@ void System::advance() {
   inject_core_traffic();
   deliver_slice_requests();
   tick_slices();
-  dram_.tick_core_cycle();
+  dram_.advance(1);
   sample_throttling();
 }
 
@@ -306,8 +283,7 @@ void System::step() {
 }
 
 // Flight observation: the scheduler fires these from inside the core ticks
-// of step(), where cycle_ already holds the step's cycle - the recorded
-// cycles are identical to the old end-of-step scan.
+// of step(), where cycle_ already holds the step's cycle.
 void System::on_first_dispatch(std::uint32_t req_index) {
   req_started_[req_index] = true;
   req_first_dispatch_[req_index] = cycle_;
@@ -343,9 +319,7 @@ std::uint64_t System::inject_work() {
   // Only injected work can give a sleeping core a thread block to fetch (a
   // dispatch or a completion never makes has_tb_for true). The hook runs
   // after cycle_'s events, so a sleeper counts cycle_ as frozen.
-  for (std::uint32_t c = 0; c < cores_.size(); ++c) {
-    if (cores_[c]->asleep()) wake_core(c, cycle_);
-  }
+  for (std::uint32_t c = 0; c < cores_.size(); ++c) wake(c, cycle_);
   return added;
 }
 
@@ -395,11 +369,9 @@ Cycle System::next_wake(bool has_hook) {
     wake = std::min(wake, resp);
   }
   if (injectable(inject_scratch_)) return no_skip;
-  for (std::size_t i = awake_cores_.next(0); i != DynBitset::npos;
-       i = awake_cores_.next(i + 1)) {
-    const VectorCore::WaitProfile p = cores_[i]->wait_profile(now);
-    if (p.busy) return no_skip;
-    sleep_core(static_cast<std::uint32_t>(i), p);
+  for (std::size_t i = awake_.next(0); i < cores_.size();
+       i = awake_.next(i + 1)) {
+    if (!try_sleep(static_cast<std::uint32_t>(i), *cores_[i])) return no_skip;
   }
 
   // Slices: inbound NoC requests (a matured head delivers next cycle iff
@@ -415,11 +387,12 @@ Cycle System::next_wake(bool has_hook) {
       wake = std::min(wake, rr);
     }
   }
-  for (std::size_t i = awake_slices_.next(0); i != DynBitset::npos;
-       i = awake_slices_.next(i + 1)) {
-    const LlcSlice::WaitProfile p = slices_[i]->wait_profile(now);
-    if (p.busy) return no_skip;
-    sleep_slice(static_cast<std::uint32_t>(i), p);
+  for (std::size_t i = awake_.next(cores_.size()); i != DynBitset::npos;
+       i = awake_.next(i + 1)) {
+    if (!try_sleep(static_cast<std::uint32_t>(i),
+                   *slices_[i - cores_.size()])) {
+      return no_skip;
+    }
   }
 
   // Every component now sleeps until its alarm or an input.
@@ -434,21 +407,11 @@ Cycle System::next_wake(bool has_hook) {
 
 void System::fast_forward(Cycle cycles) {
   // Every core and slice sleeps (next_wake put them there) and owes the
-  // skipped cycles until it wakes or its counters are read. The DRAM clock domain advances normally (refresh cadence, queue
-  // occupancy sampling and FR-FCFS scheduling are exact); the wake bound
-  // guarantees no read completion fires inside the window. A fully idle
-  // DRAM system (the common case in admission gaps) moves in closed form.
-  if (dram_.idle()) {
-    dram_.skip_idle_cycles(cycles);
-  } else {
-    for (Cycle i = 0; i < cycles; ++i) dram_.tick_core_cycle();
-  }
+  // skipped cycles until it wakes or its counters are read. DRAM ticks
+  // each channel at its own events; the wake bound guarantees no read
+  // completion falls inside the window.
+  dram_.advance(cycles);
   cycle_ += cycles;
-#ifndef NDEBUG
-  for (const auto& slice : slices_) {
-    assert(slice->fills_pending() == 0 && "DRAM fill fired during a skip");
-  }
-#endif
 }
 
 SimStats System::run(const AdmissionHook& admission) {

@@ -104,21 +104,24 @@ class System : private IFlightObserver {
   void aggregate_progress(std::vector<std::uint64_t>& out) const;
 
   // Per-request first-dispatch / last-completion observation: event
-  // callbacks from the scheduler (registered only on tagged runs), replacing
-  // the old per-cycle O(num_requests) scan.
+  // callbacks from the scheduler (registered only on tagged runs).
   void on_first_dispatch(std::uint32_t req_index) override;
   void on_request_complete(std::uint32_t req_index) override;
 
-  // ---- awake sets and lazy settlement ----------------------------------------
-  /// Takes a frozen core or slice out of its awake set from the next cycle
-  /// on, with an alarm at the cycle it must tick again by itself.
-  void sleep_core(std::uint32_t c, const VectorCore::WaitProfile& p);
-  void sleep_slice(std::uint32_t s, const LlcSlice::WaitProfile& p);
-  /// Settles a sleeper's owed cycles through `through` and returns it to
-  /// its awake set: `through` = cycle_ - 1 when it must tick this cycle,
-  /// cycle_ when this cycle already counted as frozen for it.
-  void wake_core(std::uint32_t c, Cycle through);
-  void wake_slice(std::uint32_t s, Cycle through);
+  // ---- awake set and lazy settlement -----------------------------------------
+  // A unit is a core index, or num_cores + a slice index.
+  [[nodiscard]] std::uint32_t slice_unit(std::uint32_t s) const {
+    return static_cast<std::uint32_t>(cores_.size()) + s;
+  }
+  /// Puts `unit` (component `c`) to sleep from the next cycle on if its
+  /// wait profile is not busy, with an alarm at the cycle it must tick
+  /// again by itself. Returns whether it sleeps.
+  template <class Component>
+  bool try_sleep(std::uint32_t unit, Component& c);
+  /// If `unit` sleeps, settles its owed cycles through `through` and
+  /// returns it to the awake set: `through` = cycle_ - 1 when it must tick
+  /// this cycle, cycle_ when this cycle already counted as frozen for it.
+  void wake(std::uint32_t unit, Cycle through);
   /// Wakes the sleepers whose alarm is due this cycle.
   void ring_alarms();
   /// Earliest live alarm (kNeverCycle when none); drops stale ones.
@@ -138,7 +141,7 @@ class System : private IFlightObserver {
   /// leaves no awake component behind.
   [[nodiscard]] Cycle next_wake(bool has_hook);
   /// Advances cycle_ across `cycles` frozen cycles: the sleepers owe them,
-  /// and the DRAM clock domain ticks normally (its completion events are
+  /// and DRAM advances as it would step by step (its completion events are
   /// provably after the wake cycle).
   void fast_forward(Cycle cycles);
 
@@ -162,19 +165,18 @@ class System : private IFlightObserver {
   // forbids skipping; it is reset to 0 before every hook invocation.
   Cycle wake_hint_ = 0;
 
-  // Awake sets: the step loops visit only these. With the fast path off
-  // nothing ever sleeps.
-  DynBitset awake_cores_;
-  DynBitset awake_slices_;
-  /// A sleeper's wake cycle; `unit` is a core index, or num_cores + a
-  /// slice index. Alarms of sleepers woken early by an input are stale:
-  /// a live one names a sleeper whose wake_cycle() is still `at`.
+  // Awake set over units: the step loops visit only these. With the fast
+  // path off nothing ever sleeps.
+  DynBitset awake_;
+  /// A sleeper's wake cycle. Alarms of sleepers woken early by an input are
+  /// stale: a live one is still its unit's alarm_at_.
   struct Alarm {
     Cycle at;
     std::uint32_t unit;
     bool operator>(const Alarm& o) const { return at > o.at; }
   };
   std::priority_queue<Alarm, std::vector<Alarm>, std::greater<>> alarms_;
+  std::vector<Cycle> alarm_at_;  // per unit; kNeverCycle when none is live
 
   // Injection index: each core's head outgoing request's slice (kNoSlice
   // when it has none), per slice the cores waiting on it and their count,

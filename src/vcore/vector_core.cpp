@@ -17,7 +17,7 @@ VectorCore::VectorCore(const CoreConfig& cfg, const L1Config& l1cfg,
 }
 
 void VectorCore::on_load_fill(Addr line_addr) {
-  assert(!asleep_ && "a fill wakes the core first");
+  assert(!asleep() && "a fill wakes the core first");
   l1_.on_fill(line_addr, fill_waiters_);
   for (const L1Cache::LoadTag tag : fill_waiters_) {
     // The tag is the waiting slot's address (see try_issue): the load
@@ -148,7 +148,7 @@ VectorCore::BlockReason VectorCore::try_issue(Window& w, Cycle now) {
 }
 
 bool VectorCore::tick(Cycle now) {
-  assert(!asleep_);
+  assert(!asleep());
   if (active_count_ != 0) retire(now);  // nothing to retire on an idle core
   fetch_tb(now);
 
@@ -183,8 +183,8 @@ bool VectorCore::tick(Cycle now) {
   return !issued_any;
 }
 
-VectorCore::WaitProfile VectorCore::wait_profile(Cycle now) const {
-  WaitProfile p;
+CoreWaitProfile VectorCore::wait_profile(Cycle now) const {
+  CoreWaitProfile p;
   // A fetch is possible next cycle: active < max_tb guarantees a free
   // window (max_tb <= num_windows), and the scheduler has eligible work.
   if (active_count_ < max_tb_ && scheduler_ != nullptr &&
@@ -256,26 +256,15 @@ VectorCore::WaitProfile VectorCore::wait_profile(Cycle now) const {
   return p;
 }
 
-void VectorCore::sleep(const WaitProfile& p, Cycle from) {
-  assert(!p.busy && !asleep_);
-  asleep_ = true;
-  owed_from_ = from;
-  owed_ = p;
-}
-
-void VectorCore::settle(Cycle through) {
-  if (!asleep_) return;
-  assert(through + 1 >= owed_from_);
-  const std::uint64_t cycles = through + 1 - owed_from_;
-  owed_from_ = through + 1;
-  if (owed_.idle) {
+void VectorCore::apply_owed(const CoreWaitProfile& p, std::uint64_t cycles) {
+  if (p.idle) {
     c_idle_ += cycles;
-  } else if (owed_.mem_block) {
+  } else if (p.mem_block) {
     c_mem_ += cycles;
     c_mem_abs_ += cycles;
   }
-  if (owed_.blocked_loads != 0) {
-    l1_.add_blocked_loads(static_cast<std::uint64_t>(owed_.blocked_loads) *
+  if (p.blocked_loads != 0) {
+    l1_.add_blocked_loads(static_cast<std::uint64_t>(p.blocked_loads) *
                           cycles);
   }
 }

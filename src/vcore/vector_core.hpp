@@ -13,6 +13,7 @@
 #include "cache/l1_cache.hpp"
 #include "common/config.hpp"
 #include "common/samples.hpp"
+#include "common/sleeper.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "trace/tracegen.hpp"
@@ -20,7 +21,19 @@
 
 namespace llamcat {
 
-class VectorCore {
+/// `busy` means the core makes observable progress at cycle now+1.
+/// Otherwise it is frozen until `next_event` (earliest finite head-slot
+/// completion; kNeverCycle when it can only be woken externally), and each
+/// frozen cycle accrues exactly the recorded per-cycle deltas.
+struct CoreWaitProfile {
+  bool busy = false;
+  Cycle next_event = kNeverCycle;
+  bool idle = false;                 // ++c_idle_ per frozen cycle
+  bool mem_block = false;            // ++c_mem_/++c_mem_abs_ per frozen cycle
+  std::uint32_t blocked_loads = 0;   // l1 load_blocked per frozen cycle
+};
+
+class VectorCore : public Sleeper<VectorCore, CoreWaitProfile> {
  public:
   VectorCore(const CoreConfig& cfg, const L1Config& l1cfg, CoreId id,
              std::uint64_t seed);
@@ -80,39 +93,10 @@ class VectorCore {
   // -- skip-ahead and lazy settlement -----------------------------------------
   /// What the core would do over the coming cycles if its inputs stay
   /// frozen (no fills, no scheduler changes, no store-buffer drain, the
-  /// same max_tb). `busy` means it makes observable progress at cycle
-  /// now+1. Otherwise the core is frozen until `next_event` (earliest
-  /// finite head-slot completion; kNeverCycle when it can only be woken
-  /// externally), and each frozen cycle accrues exactly the recorded
-  /// per-cycle deltas.
-  struct WaitProfile {
-    bool busy = false;
-    Cycle next_event = kNeverCycle;
-    bool idle = false;                 // ++c_idle_ per frozen cycle
-    bool mem_block = false;            // ++c_mem_/++c_mem_abs_ per frozen cycle
-    std::uint32_t blocked_loads = 0;   // l1 load_blocked per frozen cycle
-  };
-  [[nodiscard]] WaitProfile wait_profile(Cycle now) const;
-
-  /// Puts the core to sleep from cycle `from` on (`p` not busy): the
-  /// System stops ticking it, and every cycle from `from` on is owed as
-  /// one frozen cycle of `p`. A non-issuing tick rotates active_ptr_
-  /// num_inst_windows times, back to where it started, so no state beyond
-  /// the deltas moves.
-  void sleep(const WaitProfile& p, Cycle from);
-  /// Bulk-accounts the frozen cycles owed up to and including `through`
-  /// (byte-identical to ticking the frozen core that often); the core
-  /// stays asleep. A no-op on an awake core.
-  void settle(Cycle through);
-  /// settle(through), then leave sleep: the next tick is a full one.
-  void wake(Cycle through) {
-    settle(through);
-    asleep_ = false;
-  }
-  [[nodiscard]] bool asleep() const { return asleep_; }
-  /// The cycle a sleeping core must tick again by itself (kNeverCycle:
-  /// only an input change wakes it).
-  [[nodiscard]] Cycle wake_cycle() const { return owed_.next_event; }
+  /// same max_tb); the profile a sleeping core owes per cycle (Sleeper).
+  /// A non-issuing tick rotates active_ptr_ num_inst_windows times, back
+  /// to where it started, so no state beyond the profile's deltas moves.
+  [[nodiscard]] CoreWaitProfile wait_profile(Cycle now) const;
 
   // -- state/introspection ----------------------------------------------------
   /// True when the core holds no work at all (safe to end simulation).
@@ -181,6 +165,9 @@ class VectorCore {
 
   enum class BlockReason : std::uint8_t { kNone, kMemory, kCompute, kNoWork };
 
+  friend class Sleeper<VectorCore, CoreWaitProfile>;
+  void apply_owed(const CoreWaitProfile& p, std::uint64_t cycles);
+
   void retire(Cycle now);
   void fetch_tb(Cycle now);
   /// Attempts to issue one instruction from window `w`.
@@ -196,12 +183,6 @@ class VectorCore {
   std::uint32_t active_count_ = 0;  // windows with has_tb (O(1) active_windows)
   std::uint32_t max_tb_;
   TbScheduler* scheduler_ = nullptr;
-
-  // Sleep state (see sleep): the profile owed for each cycle from
-  // owed_from_ on.
-  bool asleep_ = false;
-  Cycle owed_from_ = 0;
-  WaitProfile owed_;
 
   std::deque<Addr> store_buffer_;
   // Pending (miss-waiting) loads. The L1 carries each waiting slot's

@@ -45,13 +45,23 @@ TEST(ClockDivider, Exact40To49Ratio) {
   ClockDivider div(40, 49);
   std::uint64_t slow = 0;
   const std::uint64_t fast_ticks = 49'000;
-  for (std::uint64_t i = 0; i < fast_ticks; ++i) slow += div.advance();
+  for (std::uint64_t i = 0; i < fast_ticks; ++i) slow += div.advance(1);
   EXPECT_EQ(slow, 40'000u);
+  // Single ticks and bulk steps mixed: the slow count after f fast ticks
+  // is always floor(40 f / 49).
+  ClockDivider mixed(40, 49);
+  std::uint64_t fast = 0;
+  slow = 0;
+  for (std::uint64_t n = 1; fast + n <= fast_ticks; n = n % 7 + 1) {
+    slow += mixed.advance(n);
+    fast += n;
+    ASSERT_EQ(slow, fast * 40 / 49);
+  }
 }
 
 TEST(ClockDivider, NeverProducesMoreThanOne) {
   ClockDivider div(999, 1000);
-  for (int i = 0; i < 10000; ++i) EXPECT_LE(div.advance(), 1u);
+  for (int i = 0; i < 10000; ++i) EXPECT_LE(div.advance(1), 1u);
 }
 
 TEST(OccupancyAverage, TimeWeighted) {

@@ -201,7 +201,7 @@ TEST(DramSystem, CompletesAllReadsAcrossChannels) {
         ++issued;
       }
     }
-    dram.tick_core_cycle();
+    dram.advance(1);
   }
   EXPECT_EQ(completed, 1000u);
   EXPECT_TRUE(dram.idle());
@@ -211,7 +211,7 @@ TEST(DramSystem, CompletesAllReadsAcrossChannels) {
 TEST(DramSystem, ClockDomainRatio) {
   const SimConfig sim = SimConfig::table5();
   DramSystem dram(sim.dram, sim.core_hz);
-  for (int i = 0; i < 49'000; ++i) dram.tick_core_cycle();
+  for (int i = 0; i < 49'000; ++i) dram.advance(1);
   EXPECT_EQ(dram.now(), 40'000u);  // 40:49 exactly
 }
 
@@ -225,7 +225,7 @@ TEST(DramSystem, RefreshHappens) {
   const SimConfig sim = SimConfig::table5();
   DramSystem dram(sim.dram, sim.core_hz);
   // Enough core cycles for several tREFI periods.
-  for (int i = 0; i < 20'000; ++i) dram.tick_core_cycle();
+  for (int i = 0; i < 20'000; ++i) dram.advance(1);
   EXPECT_GT(dram.stats().get("dram.refreshes"), 0u);
 }
 

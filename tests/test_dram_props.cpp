@@ -22,7 +22,7 @@ DramConfig small_cfg() {
 
 /// Enqueues when the controller has room, ticking as needed.
 void feed(DramSystem& sys, const DramRequest& r) {
-  while (!sys.can_accept(r)) sys.tick_core_cycle();
+  while (!sys.can_accept(r)) sys.advance(1);
   sys.enqueue(r);
 }
 
@@ -44,7 +44,7 @@ TEST(DramProperties, EveryReadCompletesExactlyOnce) {
   }
   std::uint64_t guard = 0;
   while (!sys.idle()) {
-    sys.tick_core_cycle();
+    sys.advance(1);
     ASSERT_LT(++guard, 10'000'000u);
   }
   EXPECT_EQ(done.size(), expected.size());
@@ -67,7 +67,7 @@ TEST(DramProperties, WritesProduceNoReadCompletions) {
   }
   std::uint64_t guard = 0;
   while (!sys.idle()) {
-    sys.tick_core_cycle();
+    sys.advance(1);
     ASSERT_LT(++guard, 10'000'000u);
   }
   EXPECT_TRUE(done.empty());
@@ -81,7 +81,7 @@ TEST(DramProperties, BytesAccountingMatchesOperations) {
   }
   std::uint64_t guard = 0;
   while (!sys.idle()) {
-    sys.tick_core_cycle();
+    sys.advance(1);
     ASSERT_LT(++guard, 10'000'000u);
   }
   EXPECT_EQ(sys.bytes_transferred(), 32ull * kLineBytes);
@@ -94,12 +94,12 @@ std::uint64_t cycles_to_drain(const DramConfig& cfg, int n,
   sys.on_read_complete = [](const DramCompletion&) {};
   for (int i = 0; i < n; ++i) {
     const DramRequest r{addr_of(i, cfg), false, 0};
-    while (!sys.can_accept(r)) sys.tick_core_cycle();
+    while (!sys.can_accept(r)) sys.advance(1);
     sys.enqueue(r);
   }
   std::uint64_t cycles = 0;
   while (!sys.idle()) {
-    sys.tick_core_cycle();
+    sys.advance(1);
     ++cycles;
     if (cycles > 10'000'000) ADD_FAILURE() << "never drained";
   }
@@ -183,20 +183,20 @@ TEST(DramProperties, ChannelsAreIndependent) {
     busy.row = 100 + static_cast<std::uint32_t>(i);
     const DramRequest r{map.encode(busy), false, 0};
     while (!sys.can_accept(r)) {
-      sys.tick_core_cycle();
+      sys.advance(1);
       ++cycles;
     }
     sys.enqueue(r);
   }
   const DramRequest pr{probe, false, 0};
   while (!sys.can_accept(pr)) {
-    sys.tick_core_cycle();
+    sys.advance(1);
     ++cycles;
   }
   sys.enqueue(pr);
   const std::uint64_t issued_at = cycles;
   while (!sys.idle()) {
-    sys.tick_core_cycle();
+    sys.advance(1);
     ++cycles;
     ASSERT_LT(cycles, 10'000'000u);
   }
@@ -215,7 +215,7 @@ TEST(DramProperties, StatsRowOutcomesPartitionAccesses) {
   sys.on_read_complete = [](const DramCompletion&) {};
   std::uint64_t guard = 0;
   while (!sys.idle()) {
-    sys.tick_core_cycle();
+    sys.advance(1);
     ASSERT_LT(++guard, 10'000'000u);
   }
   const StatSet s = sys.stats();

@@ -184,6 +184,40 @@ INSTANTIATE_TEST_SUITE_P(
                           TbDispatch::kPartitionedStealing)),
     policy_case_name);
 
+/// Sums the "[fastpath] cycles=... stepped=... skipped=... windows=..."
+/// stderr lines of every System that `run` creates.
+struct FastpathTotals {
+  unsigned long long cycles = 0, stepped = 0, windows = 0;
+  std::size_t runs = 0;
+};
+
+template <typename Run>
+FastpathTotals fastpath_totals(Run run) {
+  std::string err;
+  {
+    ScopedEnv stats("LLAMCAT_FASTPATH_STATS");
+    ::testing::internal::CaptureStderr();
+    run();
+    err = ::testing::internal::GetCapturedStderr();
+  }
+  FastpathTotals t;
+  std::istringstream lines(err);
+  for (std::string line; std::getline(lines, line);) {
+    unsigned long long c = 0, s = 0, k = 0, w = 0;
+    if (std::sscanf(line.c_str(),
+                    "[fastpath] cycles=%llu stepped=%llu skipped=%llu "
+                    "windows=%llu",
+                    &c, &s, &k, &w) != 4) {
+      continue;
+    }
+    t.cycles += c;
+    t.stepped += s;
+    t.windows += w;
+    ++t.runs;
+  }
+  return t;
+}
+
 // The admission hook's wake hints decide which cycles System::run steps one
 // by one and which it skips; perfbench's sim.stepped_frac reads the result
 // from the "[fastpath] cycles=... stepped=..." stderr line. A hooked,
@@ -191,29 +225,33 @@ INSTANTIATE_TEST_SUITE_P(
 // as the hook that rescanned every request on every cycle produced them,
 // so a change to the hook cannot move a skip window unnoticed.
 TEST(HookedSkipWindows, SteppedCyclesArePinned) {
-  std::string err;
-  {
-    ScopedEnv stats("LLAMCAT_FASTPATH_STATS");
-    ::testing::internal::CaptureStderr();
+  const FastpathTotals t = fastpath_totals([] {
     (void)run_digest({"continuous_paged", kServingBatch, configure_paged});
-    err = ::testing::internal::GetCapturedStderr();
-  }
-  unsigned long long cycles = 0, stepped = 0;
-  std::size_t runs = 0;
-  std::istringstream lines(err);
-  for (std::string line; std::getline(lines, line);) {
-    unsigned long long c = 0, s = 0;
-    if (std::sscanf(line.c_str(), "[fastpath] cycles=%llu stepped=%llu", &c,
-                    &s) != 2) {
-      continue;
-    }
-    cycles += c;
-    stepped += s;
-    ++runs;
-  }
-  EXPECT_EQ(runs, 9u);  // one line per segment System
-  EXPECT_EQ(cycles, 488981u);
-  EXPECT_EQ(stepped, 360491u);
+  });
+  EXPECT_EQ(t.runs, 9u);  // one line per segment System
+  EXPECT_EQ(t.cycles, 488981u);
+  EXPECT_EQ(t.stepped, 360491u);
+}
+
+// The skip windows of a run without a hook: a static-dispatch dynmg+BMA
+// Logit whose 2 MiB of keys overflow the 1 MiB LLC, so dirty victims write
+// back and the run lasts through refreshes. Its windows are bounded by
+// core, slice, NoC, throttle and DRAM read events alone, so a change to
+// any of those bounds moves the totals.
+TEST(UnhookedSkipWindows, CapacityLogitIsPinned) {
+  SimConfig cfg = with_policies(small_config(), ThrottlePolicy::kDynMg,
+                                ArbPolicy::kBma);
+  cfg.core.tb_dispatch = TbDispatch::kStaticBlocked;
+  const Workload wl = Workload::logit(tiny_model(), 4096, cfg);
+  SimStats s;
+  const FastpathTotals t =
+      fastpath_totals([&] { s = run_simulation(cfg, wl); });
+  EXPECT_GT(s.counters.get("dram.writes"), 0u);
+  EXPECT_GT(s.counters.get("dram.refreshes"), 0u);
+  EXPECT_EQ(t.runs, 1u);
+  EXPECT_EQ(t.cycles, 488089u);
+  EXPECT_EQ(t.stepped, 337084u);
+  EXPECT_EQ(t.windows, 22790u);
 }
 
 // A slice of the pinned fuzz corpus (randomized machine/batch/policy

@@ -34,7 +34,7 @@ struct Rig {
     for (std::uint32_t i = 0; i < n; ++i) {
       ++now;
       slice->tick(now, *dram);
-      dram->tick_core_cycle();
+      dram->advance(1);
     }
   }
 
@@ -228,7 +228,7 @@ TEST(LlcSlice, DirtyEvictionWritesBack) {
     for (std::uint32_t i = 0; i < n; ++i) {
       ++now;
       slice.tick(now, dram);
-      dram.tick_core_cycle();
+      dram.advance(1);
     }
   };
   // Dirty one set's worth of lines, then overflow the set.

@@ -3,9 +3,10 @@
 // (FIFO eviction, duplicate counting, expiry at pushed_at + lifetime,
 // spec_hit masking, MSHR merge/release order), over long seeded random
 // operation streams. AddrTable, the open-addressed table under them, is
-// checked against std::unordered_map. The DRAM stream test pins the
-// completion sequence and channel counters of a seeded read/write stream,
-// so any change to the controller's scheduling shows up as a changed hash.
+// checked against std::unordered_map. The DRAM stream tests pin the
+// completion sequence and channel counters of seeded read/write streams,
+// stepped and in skip windows, so any change to the controller's scheduling
+// or to which ticks it runs shows up as a changed hash.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -354,20 +355,25 @@ void fnv(std::uint64_t& h, std::uint64_t v) {
   }
 }
 
-/// Drives a DramSystem with a seeded bursty read/write stream: busy phases
-/// mix a row-local stream with random lines (row hits, conflicts, tFAW
-/// pressure, write drains), quiet phases let the queues drain, and idle
-/// stretches are skipped in closed form as the System's fast path does.
-DramDigest drive_stream(const DramConfig& cfg, std::uint64_t seed,
-                        std::uint64_t core_cycles) {
-  DramSystem d(cfg, 1.96e9);
-  DramDigest out;
+/// Hashes every read completion `d` delivers into `out`.
+void record_completions(DramSystem& d, DramDigest& out) {
   d.on_read_complete = [&out](const DramCompletion& c) {
     ++out.completions;
     fnv(out.hash, c.line_addr);
     fnv(out.hash, c.finish_tick);
     out.last_finish = c.finish_tick;
   };
+}
+
+/// Drives a DramSystem with a seeded bursty read/write stream: busy phases
+/// mix a row-local stream with random lines (row hits, conflicts, tFAW
+/// pressure, write drains), quiet phases let the queues drain, and idle
+/// stretches pass in one advance.
+DramDigest drive_stream(const DramConfig& cfg, std::uint64_t seed,
+                        std::uint64_t core_cycles) {
+  DramSystem d(cfg, 1.96e9);
+  DramDigest out;
+  record_completions(d, out);
   Xoshiro256 rng(seed);
   Addr stream = 0;
   std::uint64_t c = 0;
@@ -386,14 +392,70 @@ DramDigest drive_stream(const DramConfig& cfg, std::uint64_t seed,
     }
     if (!busy && d.idle() && rng.below(8) == 0) {
       const std::uint64_t gap = 1 + rng.below(3000);
-      d.skip_idle_cycles(gap);
+      d.advance(gap);
       c += gap;
       continue;
     }
-    d.tick_core_cycle();
+    d.advance(1);
     ++c;
   }
-  while (!d.idle()) d.tick_core_cycle();
+  while (!d.idle()) d.advance(1);
+  out.stats = d.stats();
+  return out;
+}
+
+/// Drives a DramSystem the way System's fast path advances it: after each
+/// enqueue the clock moves a seeded multi-cycle window while reads and
+/// writes are queued, bounded by next_read_event as System bounds a skip
+/// (so no read completes inside a window). Each round also fills channel 0's
+/// write queue, lets it drain while it drains writes (a low mark below one
+/// entry keeps the hysteresis set until the last write issues), waits, and
+/// then lands a burst of reads and writes there between two ticks: the tick
+/// after the drain must have cleared the hysteresis, or the burst's writes
+/// go ahead of its reads.
+DramDigest drive_windows(std::uint64_t seed, std::uint64_t core_cycles) {
+  DramConfig cfg;
+  cfg.num_channels = 2;
+  cfg.read_q_size = 8;
+  cfg.write_q_size = 8;
+  cfg.write_drain_low = 0.1;
+  DramSystem d(cfg, 1.96e9);
+  DramDigest out;
+  record_completions(d, out);
+  Xoshiro256 rng(seed);
+  std::uint64_t c = 0;
+  const auto window = [&](std::uint64_t n) {
+    if (d.has_read_work()) {
+      const DramTick gap = d.next_read_event() - d.now();
+      n = gap <= 1 ? 1 : std::min<std::uint64_t>(n, gap - 1);
+    }
+    d.advance(n);
+    c += n;
+  };
+  const auto channel0_line = [&] {
+    for (;;) {
+      const Addr a = line_align(rng.below(1ull << 24));
+      if (d.channel_of(a) == 0) return a;
+    }
+  };
+  while (c < core_cycles) {
+    for (int i = 0; i < 200; ++i) {
+      const DramRequest r{line_align(rng.below(1ull << 24)),
+                          rng.below(3) == 0, c};
+      if (d.can_accept(r)) d.enqueue(r);
+      window(1 + rng.below(12));
+    }
+    while (d.can_accept(DramRequest{channel0_line(), true, c})) {
+      d.enqueue(DramRequest{channel0_line(), true, c});
+    }
+    while (!d.idle()) window(1 + rng.below(40));
+    window(2 + rng.below(200));
+    for (int i = 0; i < 3; ++i) {
+      d.enqueue(DramRequest{channel0_line(), false, c});
+      d.enqueue(DramRequest{channel0_line(), true, c});
+    }
+  }
+  while (!d.idle()) d.advance(1);
   out.stats = d.stats();
   return out;
 }
@@ -440,6 +502,21 @@ TEST(DramStreamPin, TightChannelCompletionSequence) {
   EXPECT_EQ(d.stats.get("dram.row_misses"), 1114u);
   EXPECT_EQ(d.stats.get("dram.row_conflicts"), 1239u);
   EXPECT_EQ(d.stats.get("dram.refreshes"), 7u);
+}
+
+TEST(DramStreamPin, SkippedWindowsCompletionSequence) {
+  const DramDigest d = drive_windows(23, 60000);
+  EXPECT_EQ(d.completions, 3432u);
+  EXPECT_EQ(d.hash, 12427166726776611801ull);
+  EXPECT_EQ(d.last_finish, 49749u);
+  EXPECT_EQ(d.stats.get("dram.reads"), 3432u);
+  EXPECT_EQ(d.stats.get("dram.writes"), 2735u);
+  EXPECT_EQ(d.stats.get("dram.activates"), 6563u);
+  EXPECT_EQ(d.stats.get("dram.precharges"), 6400u);
+  EXPECT_EQ(d.stats.get("dram.row_hits"), 52u);
+  EXPECT_EQ(d.stats.get("dram.row_misses"), 6115u);
+  EXPECT_EQ(d.stats.get("dram.row_conflicts"), 6400u);
+  EXPECT_EQ(d.stats.get("dram.refreshes"), 14u);
 }
 
 }  // namespace
