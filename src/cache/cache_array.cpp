@@ -1,8 +1,9 @@
 #include "cache/cache_array.hpp"
 
-#include <algorithm>
+#include <bit>
 #include <cassert>
-#include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace llamcat {
 
@@ -14,9 +15,14 @@ CacheArray::CacheArray(std::uint32_t num_sets, std::uint32_t assoc,
       repl_(repl),
       insert_(insert),
       words_(static_cast<std::size_t>(num_sets) * assoc, 0),
+      clocks_(repl == ReplPolicy::kLru || repl == ReplPolicy::kFifo ? num_sets
+                                                                     : 0,
+              0),
       plru_(repl == ReplPolicy::kTreePlru ? num_sets : 0, 0),
       rng_(seed) {
-  assert(num_sets_ > 0 && assoc_ > 0);
+  if (const char* e = cache_assoc_error(assoc, repl))
+    throw std::invalid_argument(std::string("CacheArray: ") + e);
+  assert(num_sets_ > 0);
   constexpr std::size_t kPerLine = 64 / sizeof(Addr);
   const std::size_t n = static_cast<std::size_t>(num_sets) * assoc;
   tag_store_.assign(n + kPerLine - 1, kNoAddr);
@@ -35,44 +41,44 @@ bool CacheArray::probe(std::uint32_t set, Addr line_addr) const {
   return find(set, line_addr) != assoc_;
 }
 
-std::uint32_t CacheArray::next_stamp() {
-  if (tick_ == kMaxStamp) renormalise();
-  return ++tick_;
+std::uint8_t CacheArray::next_stamp(std::uint32_t set) {
+  if (clocks_[set] == kMaxStamp) renormalise(set);
+  return ++clocks_[set];
 }
 
-void CacheArray::renormalise() {
-  // A victim is chosen by comparing stamps within one set only, so each
+void CacheArray::renormalise(std::uint32_t set) {
+  // A victim is chosen by comparing stamps within one set only, so the
   // set's stamps can be replaced by their dense ranks: order and equality
-  // are kept, and the streaming-insert stamp 0 stays 0. Ranks are at most
-  // assoc_, and the clock restarts above them.
-  std::vector<std::uint32_t> distinct(assoc_);
-  for (std::uint32_t s = 0; s < num_sets_; ++s) {
-    std::uint32_t* m = words(s);
-    for (std::uint32_t w = 0; w < assoc_; ++w) distinct[w] = m[w] & kState;
-    std::sort(distinct.begin(), distinct.end());
-    const auto end = std::unique(distinct.begin(), distinct.end());
-    const std::uint32_t first_rank = distinct.front() == 0 ? 0 : 1;
-    for (std::uint32_t w = 0; w < assoc_; ++w) {
-      const auto rank = static_cast<std::uint32_t>(
-          std::lower_bound(distinct.begin(), end, m[w] & kState) -
-          distinct.begin());
-      m[w] = (m[w] & kDirty) | (first_rank + rank);
-    }
+  // are kept. With a mask of the stamps in use, plus stamp 0 so that the
+  // streaming-insert stamp stays 0, a stamp's rank is the number of set
+  // bits below it. The ranks end at most at assoc_ <= 64, and the clock
+  // restarts at the top rank.
+  std::uint8_t* m = words(set);
+  std::uint64_t used[2] = {1, 0};
+  for (std::uint32_t w = 0; w < assoc_; ++w) {
+    const unsigned stamp = m[w] & kState;
+    used[stamp / 64] |= std::uint64_t{1} << (stamp % 64);
   }
-  tick_ = assoc_;
-}
-
-void CacheArray::set_stamp_clock(std::uint32_t tick) {
-  assert(tick <= kMaxStamp && valid_count() == 0);
-  tick_ = tick;
+  const unsigned low_count = static_cast<unsigned>(std::popcount(used[0]));
+  for (std::uint32_t w = 0; w < assoc_; ++w) {
+    const unsigned stamp = m[w] & kState;
+    const std::uint64_t below = (std::uint64_t{1} << (stamp % 64)) - 1;
+    const unsigned rank =
+        stamp < 64 ? static_cast<unsigned>(std::popcount(used[0] & below))
+                   : low_count + static_cast<unsigned>(
+                                     std::popcount(used[1] & below));
+    m[w] = static_cast<std::uint8_t>((m[w] & kDirty) | rank);
+  }
+  clocks_[set] =
+      static_cast<std::uint8_t>(low_count + std::popcount(used[1]) - 1);
 }
 
 void CacheArray::promote(std::uint32_t set, std::uint32_t w) {
-  std::uint32_t& word = words(set)[w];
+  std::uint8_t& word = words(set)[w];
   switch (repl_) {
     case ReplPolicy::kLru: {
-      const std::uint32_t stamp = next_stamp();
-      word = (word & kDirty) | stamp;
+      const std::uint8_t stamp = next_stamp(set);
+      word = static_cast<std::uint8_t>((word & kDirty) | stamp);
       return;
     }
     case ReplPolicy::kSrrip:
@@ -136,14 +142,14 @@ std::uint32_t CacheArray::victim_way(std::uint32_t set) {
   // Invalid way first.
   const std::uint32_t free_way = find(set, kNoAddr);
   if (free_way != assoc_) return free_way;
-  std::uint32_t* m = words(set);
+  std::uint8_t* m = words(set);
   switch (repl_) {
     case ReplPolicy::kLru:
     case ReplPolicy::kFifo: {
       std::uint32_t victim = 0;
-      std::uint32_t oldest = std::numeric_limits<std::uint32_t>::max();
+      unsigned oldest = kDirty;  // above every stamp
       for (std::uint32_t w = 0; w < assoc_; ++w) {
-        const std::uint32_t stamp = m[w] & kState;
+        const unsigned stamp = m[w] & kState;
         if (stamp < oldest) {
           oldest = stamp;
           victim = w;
@@ -178,11 +184,11 @@ std::optional<CacheArray::Evicted> CacheArray::fill(std::uint32_t set,
   const std::uint32_t w = victim_way(set);
   // The new line's state, computed before the slot changes: taking a stamp
   // may renormalise this set.
-  std::uint32_t state = 0;
+  std::uint8_t state = 0;
   switch (repl_) {
     case ReplPolicy::kFifo:
       // FIFO ignores the insertion policy: age is fixed at insertion time.
-      state = next_stamp();
+      state = next_stamp(set);
       break;
     case ReplPolicy::kSrrip:
       // SRRIP insertion: "long" for MRU-style insert, "distant" for
@@ -191,7 +197,7 @@ std::optional<CacheArray::Evicted> CacheArray::fill(std::uint32_t set,
       break;
     case ReplPolicy::kLru:
       // Streaming insert: stamp 0 makes this line the LRU victim candidate.
-      state = insert_ == InsertPolicy::kMru ? next_stamp() : 0;
+      state = insert_ == InsertPolicy::kMru ? next_stamp(set) : 0;
       break;
     case ReplPolicy::kTreePlru:
       if (insert_ == InsertPolicy::kMru) set_plru_bits(set, w);
@@ -200,11 +206,11 @@ std::optional<CacheArray::Evicted> CacheArray::fill(std::uint32_t set,
       break;
   }
   Addr& tag = tags(set)[w];
-  std::uint32_t& word = words(set)[w];
+  std::uint8_t& word = words(set)[w];
   std::optional<Evicted> evicted;
   if (tag != kNoAddr) evicted = Evicted{tag, (word & kDirty) != 0};
   tag = line_addr;
-  word = (dirty ? kDirty : 0) | state;
+  word = static_cast<std::uint8_t>((dirty ? kDirty : 0) | state);
   return evicted;
 }
 
@@ -230,9 +236,8 @@ std::uint8_t CacheArray::rrpv_of(std::uint32_t set, Addr line_addr) const {
 }
 
 std::size_t CacheArray::heap_bytes() const {
-  return tag_store_.capacity() * sizeof(Addr) +
-         words_.capacity() * sizeof(std::uint32_t) +
-         plru_.capacity() * sizeof(std::uint32_t);
+  return tag_store_.capacity() * sizeof(Addr) + words_.capacity() +
+         clocks_.capacity() + plru_.capacity() * sizeof(std::uint32_t);
 }
 
 std::uint64_t CacheArray::valid_count() const {

@@ -17,14 +17,17 @@ namespace llamcat {
 /// (so an LLC slice can use the global-set -> slice interleaving while the
 /// L1 uses plain modulo indexing).
 ///
-/// A line costs 12 bytes: an 8-byte tag and a 32-bit replacement word.
-/// Tree-PLRU adds 4 bytes of tree bits per set.
+/// A line costs 9 bytes: an 8-byte tag and a one-byte replacement word.
+/// LRU and FIFO add a one-byte stamp clock per set, and tree-PLRU adds 4
+/// bytes of tree bits per set.
 class CacheArray {
  public:
-  /// Largest LRU/FIFO stamp. Before the clock would pass it, every set's
+  /// Largest LRU/FIFO stamp. Before a set's clock would pass it, that set's
   /// stamps are renormalised to dense ranks (see next_stamp).
-  static constexpr std::uint32_t kMaxStamp = (1u << 31) - 1;
+  static constexpr std::uint8_t kMaxStamp = 127;
 
+  /// Throws std::invalid_argument if `cache_assoc_error` rejects `assoc`
+  /// under `repl`.
   CacheArray(std::uint32_t num_sets, std::uint32_t assoc, ReplPolicy repl,
              InsertPolicy insert, std::uint64_t seed = 1);
 
@@ -61,21 +64,20 @@ class CacheArray {
   /// Re-reference prediction value of a resident line (kSrrip only; tests).
   [[nodiscard]] std::uint8_t rrpv_of(std::uint32_t set, Addr line_addr) const;
 
-  /// The last LRU/FIFO stamp handed out (tests).
-  [[nodiscard]] std::uint32_t stamp_clock() const { return tick_; }
-  /// Restarts the LRU/FIFO clock at `tick` <= kMaxStamp, so a test reaches
-  /// the renormalisation without 2^31 promotes. Call before the first fill.
-  void set_stamp_clock(std::uint32_t tick);
+  /// The last LRU/FIFO stamp handed out in `set` (kLru/kFifo only; tests).
+  [[nodiscard]] std::uint8_t stamp_clock(std::uint32_t set) const {
+    return clocks_[set];
+  }
 
-  /// Heap bytes held by the tag, replacement and PLRU arrays (tests).
+  /// Heap bytes held by the tag, replacement, clock and PLRU arrays (tests).
   [[nodiscard]] std::size_t heap_bytes() const;
 
  private:
   // A line's replacement word: the dirty bit on top, and below it the
-  // policy's per-line state - the LRU/FIFO stamp or the SRRIP RRPV.
+  // policy's per-line state - the 7-bit LRU/FIFO stamp or the SRRIP RRPV.
   // Tree-PLRU and random keep none.
-  static constexpr std::uint32_t kDirty = 1u << 31;
-  static constexpr std::uint32_t kState = kDirty - 1;
+  static constexpr std::uint8_t kDirty = 0x80;
+  static constexpr std::uint8_t kState = kDirty - 1;
 
   /// The set's tags, contiguous: an 8-way probe reads one 64-byte line.
   Addr* tags(std::uint32_t set) {
@@ -85,19 +87,20 @@ class CacheArray {
     return const_cast<CacheArray*>(this)->tags(set);
   }
   /// The set's replacement words, in way order.
-  std::uint32_t* words(std::uint32_t set) {
+  std::uint8_t* words(std::uint32_t set) {
     return words_.data() + static_cast<std::size_t>(set) * assoc_;
   }
-  const std::uint32_t* words(std::uint32_t set) const {
+  const std::uint8_t* words(std::uint32_t set) const {
     return words_.data() + static_cast<std::size_t>(set) * assoc_;
   }
   /// Way holding `line_addr`, or assoc_ when absent.
   std::uint32_t find(std::uint32_t set, Addr line_addr) const;
   std::uint32_t victim_way(std::uint32_t set);
   void promote(std::uint32_t set, std::uint32_t way);
-  /// Advances the clock, renormalising first if it is at kMaxStamp.
-  std::uint32_t next_stamp();
-  void renormalise();
+  /// Advances the set's clock, renormalising the set first if the clock is
+  /// at kMaxStamp.
+  std::uint8_t next_stamp(std::uint32_t set);
+  void renormalise(std::uint32_t set);
   void set_plru_bits(std::uint32_t set, std::uint32_t way);
   std::uint32_t plru_victim(std::uint32_t set) const;
 
@@ -110,9 +113,9 @@ class CacheArray {
   // keeps the array copyable.
   std::vector<Addr> tag_store_;
   std::size_t tag_off_ = 0;
-  std::vector<std::uint32_t> words_;  // num_sets * assoc replacement words
+  std::vector<std::uint8_t> words_;   // num_sets * assoc replacement words
+  std::vector<std::uint8_t> clocks_;  // stamp clock per set (kLru, kFifo)
   std::vector<std::uint32_t> plru_;   // tree-PLRU bits per set (kTreePlru)
-  std::uint32_t tick_ = 0;            // LRU/FIFO clock
   Xoshiro256 rng_;
 };
 

@@ -75,12 +75,13 @@ void L1Cache::on_fill(Addr line_addr, std::vector<LoadTag>& waiters) {
   const std::uint32_t* slot = miss_index_.find(line_addr);
   if (slot == nullptr) return;
   const std::uint32_t i = *slot;
+  // The caller gets the miss's waiters, and the pool the caller's empty
+  // buffer.
+  std::vector<LoadTag>& w = misses_[i].waiters;
+  waiters.swap(w);
+  waiter_pool_.push_back(std::move(w));
   // Swap-erase: line addresses in the miss queue are unique, and no
   // observable behavior depends on the queue's internal order.
-  std::vector<LoadTag>& w = misses_[i].waiters;
-  waiters.insert(waiters.end(), w.begin(), w.end());
-  w.clear();
-  waiter_pool_.push_back(std::move(w));
   miss_index_.erase(line_addr);
   if (i + 1 != misses_.size()) {
     misses_[i] = std::move(misses_.back());

@@ -141,8 +141,17 @@ void CoreConfig::validate() const {
   if (inst_window_depth == 0) fail("inst_window_depth == 0");
 }
 
+const char* cache_assoc_error(std::uint32_t assoc, ReplPolicy repl) {
+  if (assoc == 0) return "assoc == 0";
+  if (assoc > 64) return "assoc > 64";
+  if (repl == ReplPolicy::kTreePlru && assoc > 32)
+    return "assoc > 32 under tree-PLRU";
+  return nullptr;
+}
+
 void L1Config::validate() const {
-  if (assoc == 0) throw std::invalid_argument("L1Config: assoc == 0");
+  if (const char* e = cache_assoc_error(assoc, repl))
+    throw std::invalid_argument(std::string("L1Config: ") + e);
   if (!is_pow2(size_bytes) || size_bytes % (assoc * kLineBytes) != 0) {
     throw std::invalid_argument(
         "L1Config: L1 geometry not a power-of-two set count");
@@ -168,7 +177,7 @@ void LlcConfig::validate() const {
     throw std::invalid_argument("LlcConfig: " + msg);
   };
   if (!is_pow2(num_slices)) fail("num_slices must be a power of two");
-  if (assoc == 0) fail("assoc == 0");
+  if (const char* e = cache_assoc_error(assoc, repl)) fail(e);
   const std::uint64_t sets = size_bytes / (assoc * kLineBytes);
   if (sets == 0) fail("LLC has zero sets");
   // SliceMap masks global set indices with sets - 1.

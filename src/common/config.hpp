@@ -26,6 +26,12 @@ enum class ReplPolicy : std::uint8_t {
   kFifo,
 };
 
+/// Why a cache array cannot have `assoc` ways under `repl`, or nullptr if
+/// it can. At most 64 ways: a set's dense LRU/FIFO ranks reach `assoc`
+/// and must leave room below the 7-bit stamp limit. Tree-PLRU takes at
+/// most 32 ways: its node indices must fit one 32-bit word.
+const char* cache_assoc_error(std::uint32_t assoc, ReplPolicy repl);
+
 /// Fill-bypass policy for the LLC slice's bypass manager (paper Fig 4
 /// step 5; disabled - kNone - throughout the paper's evaluation, §3.2).
 enum class BypassPolicy : std::uint8_t {

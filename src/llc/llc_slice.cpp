@@ -153,9 +153,8 @@ void LlcSlice::advance_lookup(Cycle now) {
   if (head.ready > now) return;
   const Addr line = head.req.line_addr;
   const std::uint32_t set = map_.local_set_of(line);
-  if (array_.probe(set, line)) {
+  if (array_.touch(set, line)) {
     // Cache hit.
-    array_.touch(set, line);
     ++counters_.lookups;
     ++counters_.hits;
     if (ReqCounters* rc = req_counters_of(line)) {

@@ -201,6 +201,30 @@ TEST(Config, ValidationCatchesBadGeometry) {
   cfg = SimConfig::table5();
   cfg.l1.assoc = 0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  // A set's LRU/FIFO stamps are 7 bits wide, so at most 64 ways; tree-PLRU
+  // node bits live in 32 bits, so at most 32 ways there (33 ways shifted
+  // by node indices up to 62).
+  for (const std::uint32_t assoc : {65u, 128u}) {
+    cfg = SimConfig::table5();
+    cfg.llc.assoc = assoc;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument) << assoc;
+    cfg = SimConfig::table5();
+    cfg.l1.assoc = assoc;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument) << assoc;
+  }
+  cfg = SimConfig::table5();
+  cfg.llc.assoc = 64;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.llc.repl = ReplPolicy::kTreePlru;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.llc.assoc = 32;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg = SimConfig::table5();
+  cfg.l1.repl = ReplPolicy::kTreePlru;
+  cfg.l1.assoc = 64;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.l1.assoc = 32;
+  EXPECT_NO_THROW(cfg.validate());
   // NaN fails the range check instead of slipping past both comparisons.
   for (const double p : {std::numeric_limits<double>::quiet_NaN(), -0.1, 1.1}) {
     cfg = SimConfig::table5();

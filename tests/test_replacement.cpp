@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <stdexcept>
 #include <set>
 #include <vector>
 
@@ -199,7 +200,7 @@ TEST_P(ReplacementMatrix, SetContentsMatchFills) {
 
 /// The replacement semantics with a 16-byte record and a 64-bit stamp per
 /// line, a never-wrapping clock, and tree-PLRU bits for every policy: the
-/// reference the 12-byte CacheArray must match call for call.
+/// reference the 9-byte CacheArray must match call for call.
 class ReferenceArray {
  public:
   ReferenceArray(std::uint32_t num_sets, std::uint32_t assoc, ReplPolicy repl,
@@ -357,53 +358,50 @@ class ReferenceArray {
 };
 
 /// One seeded stream of probe/touch/fill/mark_dirty/invalidate calls into
-/// both arrays. The second clock start makes the compact array renormalise
-/// its stamps early in the stream; the reference never wraps.
+/// both arrays. The compact array's 7-bit set clocks wrap many times over
+/// the stream; the reference never wraps.
 TEST_P(ReplacementMatrix, MatchesReferenceModel) {
   const auto [repl, insert] = GetParam();
   constexpr std::uint32_t kSets = 4;
   constexpr std::uint32_t kAssoc = 8;
   constexpr std::uint64_t kLinesPerSet = 20;
-  for (const std::uint32_t start : {0u, CacheArray::kMaxStamp - 40}) {
-    SCOPED_TRACE(start);
-    CacheArray a(kSets, kAssoc, repl, insert, /*seed=*/11);
-    ReferenceArray ref(kSets, kAssoc, repl, insert, /*seed=*/11);
-    a.set_stamp_clock(start);
-    Xoshiro256 rng(2024);
-    std::uint64_t evictions = 0;
-    for (int step = 0; step < 20000; ++step) {
-      const auto set = static_cast<std::uint32_t>(rng.below(kSets));
-      const Addr addr = line(set + kSets * rng.below(kLinesPerSet));
-      const std::uint64_t op = rng.below(100);
-      if (op < 40) {
-        ASSERT_EQ(a.touch(set, addr), ref.touch(set, addr)) << step;
-      } else if (op < 75) {
-        ASSERT_EQ(a.probe(set, addr), ref.probe(set, addr)) << step;
-        if (ref.probe(set, addr)) continue;
-        const bool dirty = rng.below(2) == 0;
-        const auto got = a.fill(set, addr, dirty);
-        const auto want = ref.fill(set, addr, dirty);
-        ASSERT_EQ(got.has_value(), want.has_value()) << step;
-        if (want) {
-          ++evictions;
-          ASSERT_EQ(got->line_addr, want->line_addr) << step;
-          ASSERT_EQ(got->dirty, want->dirty) << step;
-        }
-      } else if (op < 85) {
-        ASSERT_EQ(a.mark_dirty(set, addr), ref.mark_dirty(set, addr)) << step;
-      } else if (op < 92) {
-        ASSERT_EQ(a.invalidate(set, addr), ref.invalidate(set, addr)) << step;
-      } else {
-        ASSERT_EQ(a.rrpv_of(set, addr), ref.rrpv_of(set, addr)) << step;
+  const bool stamped = repl == ReplPolicy::kLru || repl == ReplPolicy::kFifo;
+  CacheArray a(kSets, kAssoc, repl, insert, /*seed=*/11);
+  ReferenceArray ref(kSets, kAssoc, repl, insert, /*seed=*/11);
+  Xoshiro256 rng(2024);
+  std::uint64_t evictions = 0;
+  std::uint64_t wraps = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const auto set = static_cast<std::uint32_t>(rng.below(kSets));
+    const std::uint8_t clock_before = stamped ? a.stamp_clock(set) : 0;
+    const Addr addr = line(set + kSets * rng.below(kLinesPerSet));
+    const std::uint64_t op = rng.below(100);
+    if (op < 40) {
+      ASSERT_EQ(a.touch(set, addr), ref.touch(set, addr)) << step;
+    } else if (op < 75) {
+      ASSERT_EQ(a.probe(set, addr), ref.probe(set, addr)) << step;
+      if (ref.probe(set, addr)) continue;
+      const bool dirty = rng.below(2) == 0;
+      const auto got = a.fill(set, addr, dirty);
+      const auto want = ref.fill(set, addr, dirty);
+      ASSERT_EQ(got.has_value(), want.has_value()) << step;
+      if (want) {
+        ++evictions;
+        ASSERT_EQ(got->line_addr, want->line_addr) << step;
+        ASSERT_EQ(got->dirty, want->dirty) << step;
       }
-      ASSERT_EQ(a.set_contents(set), ref.set_contents(set)) << step;
+    } else if (op < 85) {
+      ASSERT_EQ(a.mark_dirty(set, addr), ref.mark_dirty(set, addr)) << step;
+    } else if (op < 92) {
+      ASSERT_EQ(a.invalidate(set, addr), ref.invalidate(set, addr)) << step;
+    } else {
+      ASSERT_EQ(a.rrpv_of(set, addr), ref.rrpv_of(set, addr)) << step;
     }
-    EXPECT_GT(evictions, 1000u);  // the stream exercised the victim choice
-    if (start != 0 &&
-        (repl == ReplPolicy::kLru || repl == ReplPolicy::kFifo)) {
-      EXPECT_LT(a.stamp_clock(), start) << "the clock never wrapped";
-    }
+    ASSERT_EQ(a.set_contents(set), ref.set_contents(set)) << step;
+    if (stamped && a.stamp_clock(set) < clock_before) ++wraps;
   }
+  EXPECT_GT(evictions, 1000u);  // the stream exercised the victim choice
+  if (stamped) EXPECT_GT(wraps, 0u) << "no set renormalised";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -443,66 +441,128 @@ TEST(RandomRepl, DeterministicPerSeed) {
   EXPECT_NE(run(42), run(43));
 }
 
-/// Crossing kMaxStamp renormalises every set to dense ranks; the LRU order
-/// of lines stamped before and after the wrap is unchanged.
-TEST(CacheArrayLayout, ClockWrapKeepsVictimOrder) {
-  CacheArray a(2, 4, ReplPolicy::kLru, InsertPolicy::kMru);
-  a.set_stamp_clock(CacheArray::kMaxStamp - 6);
-  for (std::uint64_t i = 0; i < 4; ++i) a.fill(0, line(i), false);
-  a.fill(1, line(10), true);
-  a.touch(0, line(1));  // the clock reaches kMaxStamp
-  EXPECT_EQ(a.stamp_clock(), CacheArray::kMaxStamp);
-  a.touch(0, line(2));  // renormalises, then stamps past the ranks
-  EXPECT_EQ(a.stamp_clock(), 4u + 1u);  // ranks end at assoc
-  // LRU -> MRU: 0, 3, 1, 2. MRU fills evict in exactly that order.
+/// Promotes `line_addr` until the set's clock reads `stamp`. At kMaxStamp,
+/// the next stamp taken in the set renormalises it.
+void run_clock_to(CacheArray& a, std::uint32_t set, Addr line_addr,
+                  std::uint8_t stamp) {
+  while (a.stamp_clock(set) < stamp) a.touch(set, line_addr);
+}
+
+/// Crossing kMaxStamp renormalises the set to dense ranks; the LRU order
+/// of lines stamped before and after the wrap is unchanged, and so are the
+/// dirty bits.
+TEST(CacheArrayLayout, SetClockWrapKeepsVictimOrder) {
+  CacheArray a(1, 4, ReplPolicy::kLru, InsertPolicy::kMru);
+  for (std::uint64_t i = 0; i < 4; ++i) a.fill(0, line(i), i == 2);
+  run_clock_to(a, 0, line(1), CacheArray::kMaxStamp - 1);
+  a.touch(0, line(3));  // MRU before the wrap, in the highest way
+  EXPECT_EQ(a.stamp_clock(0), CacheArray::kMaxStamp);
+  // Renormalises lines 0, 2, 1, 3 to ranks 1..4, then stamps line 0 past
+  // the top rank.
+  a.touch(0, line(0));
+  EXPECT_EQ(a.stamp_clock(0), 4u + 1u);
+  // LRU -> MRU: 2, 1, 3, 0. MRU fills evict in exactly that order.
   std::vector<Addr> victims;
+  std::vector<bool> dirty;
   for (std::uint64_t i = 100; i < 104; ++i) {
     const auto ev = a.fill(0, line(i), false);
     ASSERT_TRUE(ev.has_value());
-    EXPECT_FALSE(ev->dirty);
     victims.push_back(ev->line_addr);
+    dirty.push_back(ev->dirty);
   }
-  EXPECT_EQ(victims, (std::vector<Addr>{line(0), line(3), line(1), line(2)}));
-  // The other set's line kept its dirty bit through the renormalisation.
-  for (std::uint64_t i = 20; i < 23; ++i) a.fill(1, line(i), false);
-  const auto ev = a.fill(1, line(30), false);
-  ASSERT_TRUE(ev.has_value());
-  EXPECT_EQ(ev->line_addr, line(10));
-  EXPECT_TRUE(ev->dirty);
+  EXPECT_EQ(victims, (std::vector<Addr>{line(2), line(1), line(3), line(0)}));
+  EXPECT_EQ(dirty, (std::vector<bool>{true, false, false, false}));
 }
 
 /// The streaming-insert stamp 0 survives the wrap: a line inserted before
 /// it ties with one inserted after it, and the lower way goes first.
-TEST(CacheArrayLayout, ClockWrapKeepsStreamingStampZero) {
+TEST(CacheArrayLayout, SetClockWrapKeepsStreamingStampZero) {
   CacheArray a(1, 4, ReplPolicy::kLru, InsertPolicy::kStreaming);
-  a.set_stamp_clock(CacheArray::kMaxStamp - 2);
   for (std::uint64_t i = 0; i < 4; ++i) a.fill(0, line(i), false);  // stamp 0
   a.touch(0, line(1));
-  a.touch(0, line(3));  // the clock reaches kMaxStamp
+  run_clock_to(a, 0, line(3), CacheArray::kMaxStamp);
   a.invalidate(0, line(2));
-  a.touch(0, line(1));  // renormalises
-  EXPECT_LT(a.stamp_clock(), 8u);
+  // Renormalises stamps 0, 1 and 127 to ranks 0, 1 and 2, then stamps
+  // line 1 with 3.
+  a.touch(0, line(1));
+  EXPECT_EQ(a.stamp_clock(0), 3u);
   a.fill(0, line(20), false);  // the free way 2, stamp 0
   const auto ev = a.fill(0, line(21), false);
   ASSERT_TRUE(ev.has_value());
   EXPECT_EQ(ev->line_addr, line(0));  // way 0 before way 2
 }
 
-/// Footprint guard: a line costs its 8-byte tag and one 32-bit replacement
-/// word; tree-PLRU adds 4 bytes per set. The 64 bytes cover the padding
-/// that aligns the tag array to a cache line.
-TEST(CacheArrayLayout, TwelveBytesPerLine) {
+/// A set renormalises alone: another set's stamps and clock do not move,
+/// so its victim order is the one its own touches made.
+TEST(CacheArrayLayout, SetClockWrapLeavesOtherSetsAlone) {
+  CacheArray a(2, 4, ReplPolicy::kLru, InsertPolicy::kMru);
+  for (std::uint64_t i = 0; i < 4; ++i) a.fill(0, line(i), false);
+  for (std::uint64_t i = 10; i < 14; ++i) a.fill(1, line(i), false);
+  a.touch(1, line(10));  // set 1, LRU -> MRU: 11, 12, 13, 10
+  const std::uint8_t clock1 = a.stamp_clock(1);
+  run_clock_to(a, 0, line(0), CacheArray::kMaxStamp);
+  a.touch(0, line(1));  // renormalises set 0 only
+  EXPECT_LT(a.stamp_clock(0), 8u);
+  EXPECT_EQ(a.stamp_clock(1), clock1);
+  // Set 1 keeps its order, and its next stamp still tops it.
+  a.touch(1, line(11));  // LRU -> MRU: 12, 13, 10, 11
+  std::vector<Addr> victims;
+  for (std::uint64_t i = 100; i < 104; ++i) {
+    const auto ev = a.fill(1, line(i), false);
+    ASSERT_TRUE(ev.has_value());
+    victims.push_back(ev->line_addr);
+  }
+  EXPECT_EQ(victims,
+            (std::vector<Addr>{line(12), line(13), line(10), line(11)}));
+}
+
+/// Footprint guard: a line costs its 8-byte tag and a one-byte replacement
+/// word; each set adds at most a one-byte stamp clock, and tree-PLRU 4
+/// bytes of tree bits. The 64 bytes cover the padding that aligns the tag
+/// array to a cache line.
+TEST(CacheArrayLayout, NineBytesPerLine) {
   constexpr std::uint32_t kSets = 1024;
   constexpr std::uint32_t kAssoc = 16;
   constexpr std::size_t kLines = std::size_t{kSets} * kAssoc;
   for (const ReplPolicy repl : {ReplPolicy::kLru, ReplPolicy::kFifo,
                                 ReplPolicy::kRandom, ReplPolicy::kSrrip}) {
     const CacheArray a(kSets, kAssoc, repl, InsertPolicy::kMru);
-    EXPECT_LE(a.heap_bytes(), 12 * kLines + 64) << to_string(repl);
+    EXPECT_LE(a.heap_bytes(), 9 * kLines + kSets + 64) << to_string(repl);
   }
   const CacheArray plru(kSets, kAssoc, ReplPolicy::kTreePlru,
                         InsertPolicy::kMru);
-  EXPECT_LE(plru.heap_bytes(), 12 * kLines + 4 * kSets + 64);
+  EXPECT_LE(plru.heap_bytes(), 9 * kLines + 5 * kSets + 64);
+}
+
+/// The constructor applies the same associativity bounds as the configs.
+TEST(CacheArrayLayout, RejectsUnsupportedAssoc) {
+  EXPECT_THROW(CacheArray(4, 0, ReplPolicy::kLru, InsertPolicy::kMru),
+               std::invalid_argument);
+  EXPECT_THROW(CacheArray(4, 65, ReplPolicy::kLru, InsertPolicy::kMru),
+               std::invalid_argument);
+  EXPECT_NO_THROW(CacheArray(4, 64, ReplPolicy::kLru, InsertPolicy::kMru));
+  EXPECT_THROW(CacheArray(4, 33, ReplPolicy::kTreePlru, InsertPolicy::kMru),
+               std::invalid_argument);
+  EXPECT_NO_THROW(
+      CacheArray(4, 32, ReplPolicy::kTreePlru, InsertPolicy::kMru));
+}
+
+/// The widest set: 64 distinct LRU stamps renormalise to ranks 1..64 and
+/// the clock still has room above them.
+TEST(CacheArrayLayout, WidestSetWrapsExactly) {
+  constexpr std::uint32_t kAssoc = 64;
+  CacheArray a(1, kAssoc, ReplPolicy::kLru, InsertPolicy::kMru);
+  ReferenceArray ref(1, kAssoc, ReplPolicy::kLru, InsertPolicy::kMru, 1);
+  Xoshiro256 rng(5);
+  for (int step = 0; step < 5000; ++step) {
+    const Addr addr = line(rng.below(2 * kAssoc));
+    ASSERT_EQ(a.touch(0, addr), ref.touch(0, addr)) << step;
+    if (ref.probe(0, addr)) continue;
+    const auto got = a.fill(0, addr, false);
+    const auto want = ref.fill(0, addr, false);
+    ASSERT_EQ(got.has_value(), want.has_value()) << step;
+    if (want) ASSERT_EQ(got->line_addr, want->line_addr) << step;
+  }
 }
 
 }  // namespace

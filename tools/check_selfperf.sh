@@ -15,6 +15,10 @@
 #    baseline is flagged as a possible slowdown. Speed stays a soft warning
 #    even under --strict: wall-clock numbers on shared CI runners are too
 #    noisy for a hard gate (docs/performance.md).
+#  - peak_rss_kb more than 10 percent above the baseline is flagged as
+#    possible memory growth. This is a soft warning too: allocators and
+#    standard libraries differ between compilers, and one baseline serves
+#    every CI compiler.
 set -u
 
 fresh="${1:?usage: check_selfperf.sh <fresh.json> [baseline.json] [--strict]}"
@@ -35,8 +39,8 @@ if [ ! -f "$baseline" ]; then
 fi
 
 # The python pass prefixes determinism problems (cycle drift, scenario-set
-# mismatch) with "HARD " and speed regressions with "soft "; --strict fails
-# only on the former.
+# mismatch) with "HARD " and speed or memory regressions with "soft ";
+# --strict fails only on the former.
 warnings=$(python3 - "$fresh" "$baseline" "$tolerance" <<'EOF'
 import json, sys
 
@@ -60,6 +64,12 @@ for name, b in base.items():
             print(f"soft {name}: {f['mcycles_per_sec']:.2f} Mcyc/s is "
                   f"{drop:.0f}% below the baseline "
                   f"{b['mcycles_per_sec']:.2f} (tolerance {tol:.0f}%)")
+    if b.get("peak_rss_kb", 0) > 0 and "peak_rss_kb" in f:
+        growth = 100.0 * (f["peak_rss_kb"] / b["peak_rss_kb"] - 1.0)
+        if growth > 10:
+            print(f"soft {name}: peak RSS {f['peak_rss_kb']} kB is "
+                  f"{growth:.0f}% above the baseline {b['peak_rss_kb']} kB "
+                  f"(tolerance 10%)")
 for name in fresh:
     if name not in base:
         print(f"HARD new scenario '{name}' has no baseline row - regenerate "
